@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -24,28 +25,39 @@
 namespace wsnq {
 namespace {
 
+// Side of the square area holding `n` nodes: 200 m for the fixed-area
+// arguments (256, 1024: density grows with n, as in fig6), and
+// 200 * sqrt(n / 256) from 16,384 nodes on (constant density: the 256-node
+// mean degree at any n, as in a larger deployment).
+double AreaSide(int n) {
+  return n < 16384 ? 200.0 : 200.0 * std::sqrt(n / 256.0);
+}
+
 void BM_RadioGraphBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(1);
-  const auto points = UniformPlacement(n, 200.0, 200.0, &rng);
+  const auto points = UniformPlacement(n, AreaSide(n), AreaSide(n), &rng);
   for (auto _ : state) {
     RadioGraph graph(points, 35.0);
     benchmark::DoNotOptimize(graph.size());
   }
 }
-BENCHMARK(BM_RadioGraphBuild)->Arg(256)->Arg(1024);
+BENCHMARK(BM_RadioGraphBuild)->Arg(256)->Arg(1024)->Arg(16384)->Arg(65536);
 
 void BM_SpanningTreeBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(2);
-  auto points = ConnectedPlacement(n, 200.0, 200.0, 35.0, &rng);
-  RadioGraph graph(points.value(), 35.0);
+  auto graph = ConnectedDeployment(n, AreaSide(n), AreaSide(n), 35.0, &rng);
+  if (!graph.ok()) {
+    state.SkipWithError(graph.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
-    auto tree = BuildShortestPathTree(graph, 0);
+    auto tree = BuildShortestPathTree(graph.value(), 0);
     benchmark::DoNotOptimize(tree.ok());
   }
 }
-BENCHMARK(BM_SpanningTreeBuild)->Arg(256)->Arg(1024);
+BENCHMARK(BM_SpanningTreeBuild)->Arg(256)->Arg(1024)->Arg(16384)->Arg(65536);
 
 void BM_OracleKth(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -145,6 +157,31 @@ void BM_BuildScenarioPressureCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildScenarioPressureCached)->Arg(40)->Arg(120);
+
+// Scenario-cache preparation of four constant-density 65,536-node
+// synthetic runs: placement, radio graph, routing tree and trace per run.
+// The argument is config.threads, pinned so the figure does not follow the
+// host's core count: 1 measures construction alone, 4 the run fan-out.
+void BM_ScenarioCachePrepare(benchmark::State& state) {
+  SimulationConfig config;
+  config.threads = static_cast<int>(state.range(0));
+  config.num_sensors = 65536;
+  config.area_width = config.area_height = AreaSide(config.num_sensors);
+  config.radio_range = 35.0;
+  constexpr int kRuns = 4;
+  for (auto _ : state) {
+    ScenarioCache cache;
+    if (Status status = cache.Prepare(config, kRuns); !status.ok()) {
+      state.SkipWithError(status.ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(cache.size());
+  }
+}
+BENCHMARK(BM_ScenarioCachePrepare)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 // Per-round value access: the lazy ValuesByVertex copy versus a view into
 // rows materialized once per run (Scenario::MaterializeValues).

@@ -66,11 +66,11 @@ struct SimulationConfig {
   /// Master seed; runs derive their own streams from it.
   uint64_t seed = 1;
 
-  /// Worker threads for multi-run experiments (core/experiment.h): runs
-  /// fan out over the deterministic pool in util/thread_pool.h and are
-  /// folded back in run order, so results are bit-identical for every
-  /// value. 0 = auto (WSNQ_THREADS env var, else hardware concurrency);
-  /// 1 = the legacy serial path.
+  /// Worker threads for multi-run experiments (core/experiment.h) and for
+  /// ScenarioCache::Prepare: runs fan out over the deterministic pool in
+  /// util/thread_pool.h and are folded back in run order, so results are
+  /// bit-identical for every value. 0 = auto (WSNQ_THREADS env var, else
+  /// hardware concurrency); 1 = the legacy serial path.
   int threads = 0;
 
   /// Partition every convergecast wave at a balanced cut of the routing

@@ -190,10 +190,11 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   return aggregates;
 }
 
-/// Serial, deterministic cache pre-population (run-index order); after this
-/// the cache is sealed and every lookup is read-only. A Prepare failure is
-/// exactly the Status the uncached serial path would report for its first
-/// failing run, so failure semantics are cache-invariant.
+/// Deterministic cache pre-population: runs build in parallel at
+/// config.threads into private stores, merged in run-index order; after
+/// this the cache is sealed and every lookup is read-only. A Prepare
+/// failure is exactly the Status the uncached serial path would report for
+/// its first failing run, so failure semantics are cache-invariant.
 Status PrepareCache(ScenarioCache* cache, const SimulationConfig& config,
                     int runs) {
   prof::ScopedTimer timer("experiment/prepare_cache");

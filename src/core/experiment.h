@@ -62,9 +62,10 @@ ProtocolFactory DefaultFactory(AlgorithmKind kind);
 /// parallel_determinism_test.cc holds this to exact equality).
 ///
 /// Unless WSNQ_SCENARIO_CACHE=0, the immutable scenario artifacts (radio
-/// graphs, value sources, tree templates) are built once by a serial
-/// ScenarioCache pre-population pass and shared read-only across runs
-/// (core/scenario_cache.h); results are bit-identical either way.
+/// graphs, value sources, tree templates) are built once by a
+/// ScenarioCache pre-population pass — runs in parallel, merged in run
+/// order — and shared read-only across runs (core/scenario_cache.h);
+/// results are bit-identical either way.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs);

@@ -98,44 +98,46 @@ StatusOr<Scenario> BuildSynthetic(const SimulationConfig& config, int run,
   if (deploy == nullptr) {
     Rng rng(config.seed * 7919 + static_cast<uint64_t>(run) * 104729 + 13);
     // |N| sensors plus the root vertex.
-    StatusOr<std::vector<Point2D>> placement = ConnectedPlacement(
+    StatusOr<RadioGraph> placed = ConnectedDeployment(
         config.num_sensors + 1, config.area_width, config.area_height,
         config.radio_range, &rng);
-    if (!placement.ok()) return placement.status();
+    if (!placed.ok()) return placed.status();
 
     const int root = static_cast<int>(rng.UniformInt(0, config.num_sensors));
-    // Multi-value nodes (§2): replicate each sensor position so every extra
-    // measurement lives on an "artificial child node" colocated with (and
-    // therefore radio-adjacent to) its physical host.
     WSNQ_CHECK_GE(config.values_per_node, 1);
-    std::vector<Point2D> points;
-    points.reserve(placement.value().size() *
-                   static_cast<size_t>(config.values_per_node));
-    int expanded_root = -1;
-    for (size_t v = 0; v < placement.value().size(); ++v) {
-      const int copies =
-          static_cast<int>(v) == root ? 1 : config.values_per_node;
-      for (int c = 0; c < copies; ++c) {
-        if (static_cast<int>(v) == root) {
-          expanded_root = static_cast<int>(points.size());
-        }
-        points.push_back(placement.value()[v]);
-      }
-    }
-    WSNQ_CHECK_GE(expanded_root, 0);
-
     auto built = std::make_shared<internal::SyntheticDeployment>();
-    built->root = expanded_root;
+    if (config.values_per_node == 1) {
+      // Nothing to expand: the connectivity test's graph is the deployment.
+      built->root = root;
+      built->graph =
+          std::make_shared<const RadioGraph>(std::move(placed).value());
+    } else {
+      // Multi-value nodes (§2): replicate each sensor position so every
+      // extra measurement lives on an "artificial child node" colocated
+      // with (and therefore radio-adjacent to) its physical host.
+      const std::vector<Point2D>& placement = placed.value().points();
+      std::vector<Point2D> points;
+      points.reserve(placement.size() *
+                     static_cast<size_t>(config.values_per_node));
+      for (size_t v = 0; v < placement.size(); ++v) {
+        const int copies =
+            static_cast<int>(v) == root ? 1 : config.values_per_node;
+        if (static_cast<int>(v) == root) {
+          built->root = static_cast<int>(points.size());
+        }
+        points.insert(points.end(), static_cast<size_t>(copies), placement[v]);
+      }
+      built->graph = std::make_shared<const RadioGraph>(std::move(points),
+                                                        config.radio_range);
+    }
     // Sensor positions (normalized) feed the spatial correlation.
+    const std::vector<Point2D>& points = built->graph->points();
     built->normalized.reserve(points.size() - 1);
     for (size_t v = 0; v < points.size(); ++v) {
-      if (static_cast<int>(v) == expanded_root) continue;
+      if (static_cast<int>(v) == built->root) continue;
       built->normalized.push_back({points[v].x / config.area_width,
                                    points[v].y / config.area_height});
     }
-    built->graph =
-        std::make_shared<const RadioGraph>(std::move(points),
-                                           config.radio_range);
     if (store != nullptr) store->Put(deploy_key, built);
     deploy = std::move(built);
   }

@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <utility>
 
+#include "core/experiment.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace wsnq {
 namespace internal {
@@ -99,20 +101,97 @@ bool ScenarioCache::Enabled() {
          !(raw[0] == '0' && raw[1] == '\0');
 }
 
+/// One run's private artifact store during Prepare. Lookups read through
+/// to the shared map, which nobody mutates while runs build; Puts stay
+/// local (BuildScenario looks each key up once per run, before building
+/// it). Every call is logged in order, so Merge can replay the run against
+/// the shared map exactly as a serial pass would have made it.
+class ScenarioCache::RunStore final : public internal::ArtifactStore {
+ public:
+  /// One store call: a lookup (value == nullptr) or a Put.
+  struct Event {
+    std::string key;
+    std::shared_ptr<const void> value;
+  };
+
+  explicit RunStore(const ScenarioCache* shared) : shared_(shared) {}
+
+  std::shared_ptr<const void> Get(const std::string& key) const override {
+    events_.push_back({key, nullptr});
+    return shared_->Find(key);
+  }
+
+  void Put(const std::string& key,
+           std::shared_ptr<const void> value) override {
+    events_.push_back({key, std::move(value)});
+  }
+
+  const std::vector<Event>& events() const { return events_; }
+
+ private:
+  const ScenarioCache* shared_;
+  mutable std::vector<Event> events_;
+};
+
+void ScenarioCache::Merge(const RunStore& store) {
+  AssertPreparePhase();
+  // A lookup counts against everything built before it — earlier runs and
+  // this run's earlier Puts — just as in a serial pass.
+  for (const RunStore::Event& event : store.events()) {
+    if (event.value != nullptr) {
+      entries_.emplace(event.key, event.value);  // first build wins
+    } else {
+      (entries_.count(event.key) > 0 ? hits_ : misses_)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+}
+
 Status ScenarioCache::Prepare(const SimulationConfig& config, int runs) {
   sealed_ = false;
-  for (int run = 0; run < runs; ++run) {
-    // Build (and discard) the full scenario: every shareable artifact the
-    // run needs lands in the map as a side effect, in the exact order the
-    // serial uncached path would build it.
-    StatusOr<Scenario> scenario = BuildScenario(config, run, this);
-    if (!scenario.ok()) {
-      sealed_ = true;
-      return scenario.status();
+  // Each run builds (and discards) its full scenario into a private store:
+  // every shareable artifact it needs lands there as a side effect. The
+  // stores are merged here, in run order, up to the first failing run.
+  std::vector<RunStore> stores(static_cast<size_t>(std::max(runs, 0)),
+                               RunStore(this));
+  std::vector<Status> statuses(stores.size());
+  const auto build = [&](int run) {
+    statuses[static_cast<size_t>(run)] =
+        BuildScenario(config, run, &stores[static_cast<size_t>(run)])
+            .status();
+  };
+  int merged = 0;
+  Status result;
+  // Merges runs [merged, end); false once a failing run was merged.
+  const auto merge_through = [&](int end) {
+    for (; merged < end; ++merged) {
+      Merge(stores[static_cast<size_t>(merged)]);
+      if (!statuses[static_cast<size_t>(merged)].ok()) {
+        result = statuses[static_cast<size_t>(merged)];
+        return false;
+      }
+    }
+    return true;
+  };
+  if (runs > 0) {
+    // Run 0 alone first: artifacts that do not depend on the run (the
+    // pressure trace and SOM deployment) are then in the shared map, so
+    // the fanned-out runs read them instead of each building a copy. A
+    // pool of one thread runs the rest inline, in run order.
+    build(0);
+    if (merge_through(1)) {
+      ThreadPool pool(
+          std::max(std::min(ResolveThreads(config.threads), runs - 1), 1));
+      // Failures are collected per run, so every task reports OK here.
+      (void)pool.ParallelFor(runs - 1, [&](int64_t i) {
+        build(static_cast<int>(i) + 1);
+        return Status::Ok();
+      });
+      merge_through(runs);
     }
   }
   sealed_ = true;
-  return Status::Ok();
+  return result;
 }
 
 StatusOr<Scenario> ScenarioCache::Build(const SimulationConfig& config,
@@ -122,19 +201,29 @@ StatusOr<Scenario> ScenarioCache::Build(const SimulationConfig& config,
 
 void ScenarioCache::AssertPreparePhase() {
   // The dynamic half of the phase capability: mutation is only legal while
-  // unsealed, i.e. inside the serial Prepare() pass.
+  // unsealed, i.e. inside Prepare()'s run-order merge.
   WSNQ_DCHECK(!sealed_);
 }
 
-std::shared_ptr<const void> ScenarioCache::Get(const std::string& key) const {
+std::shared_ptr<const void> ScenarioCache::Find(const std::string& key) const {
   AssertReadPhase();
   const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  return it == entries_.end() ? nullptr : it->second;
+}
+
+std::vector<std::string> ScenarioCache::Keys() const {
+  AssertReadPhase();
+  std::vector<std::string> keys;
+  keys.reserve(entries_.size());
+  for (const auto& entry : entries_) keys.push_back(entry.first);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+std::shared_ptr<const void> ScenarioCache::Get(const std::string& key) const {
+  std::shared_ptr<const void> value = Find(key);
+  (value == nullptr ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
+  return value;
 }
 
 void ScenarioCache::Put(const std::string& key,

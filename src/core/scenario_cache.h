@@ -22,13 +22,18 @@
 //   <deploy>|tree|root|strat|salt              routing-tree template
 //
 // Concurrency contract (docs/hardening.md, "Concurrency & determinism"):
-// the cache is populated by a serial, deterministic Prepare() pass in
-// run-index order, then *sealed*. After sealing, Get() is const and
-// thread-safe; Put() drops the offered artifact (the caller keeps its
-// freshly built copy), so the read-only parallel phase can never mutate
-// the map. Everything stored is shared_ptr<const T> — runs alias the
-// artifacts but cannot write through them; the wsnq-lint `const-cast`
-// rule keeps that guarantee from eroding.
+// Prepare() builds each run into a private store that reads through to
+// the shared map; the runs fan out over util/thread_pool.h (config.threads;
+// 1 is an inline serial loop). Run 0 is built first and alone, so
+// run-independent artifacts exist once. The calling thread then merges
+// the stores in run-index order — replaying each run's lookups and
+// builds, so contents and hit/miss counts equal a serial pass's — and
+// *seals* the cache. The map is mutated by that one
+// thread only. After sealing, Get() is const and thread-safe; Put() drops
+// the offered artifact (the caller keeps its freshly built copy), so the
+// read-only parallel phase can never mutate the map. Everything stored is
+// shared_ptr<const T> — runs alias the artifacts but cannot write through
+// them; the wsnq-lint `const-cast` rule keeps that guarantee from eroding.
 //
 // Determinism: BuildScenario runs the identical construction code with and
 // without a store (core/scenario.h, ArtifactStore), so cached and uncached
@@ -95,7 +100,7 @@ std::string RoutingTreeKey(const std::string& deployment_key, int root,
 /// Immutable-artifact cache for scenario construction. Typical lifecycle:
 ///
 ///   ScenarioCache cache;
-///   cache.Prepare(config, runs);          // serial, deterministic, seals
+///   cache.Prepare(config, runs);          // deterministic, seals
 ///   ... ThreadPool fans runs out; each task calls cache.Build(config, run)
 ///       and gets aliased shared-immutable artifacts plus its own Network.
 ///
@@ -112,10 +117,12 @@ class ScenarioCache final : public internal::ArtifactStore {
   /// true otherwise (the cache defaults to on).
   static bool Enabled();
 
-  /// Builds every shareable artifact of runs [0, runs) in run-index order
-  /// on the calling thread, then seals the cache. Returns the first
-  /// failing run's Status — the same Status the serial uncached path
-  /// reports, since both walk runs in ascending order.
+  /// Builds every shareable artifact of runs [0, runs), fanning runs out
+  /// over config.threads pool threads, merges them in run-index order on
+  /// the calling thread, then seals the cache. Contents and hit/miss
+  /// counts equal those of a serial pass for every thread count. Returns
+  /// the smallest failing run's Status — the same Status the serial
+  /// uncached path reports, since both walk runs in ascending order.
   Status Prepare(const SimulationConfig& config, int runs);
 
   /// BuildScenario(config, run, this): assembles run `run`'s scenario from
@@ -132,6 +139,8 @@ class ScenarioCache final : public internal::ArtifactStore {
     AssertReadPhase();
     return static_cast<int64_t>(entries_.size());
   }
+  /// Every stored key, sorted (tests and diagnostics).
+  std::vector<std::string> Keys() const;
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Artifacts offered after sealing and dropped (miss-path rebuilds).
@@ -140,30 +149,38 @@ class ScenarioCache final : public internal::ArtifactStore {
   }
 
  private:
+  class RunStore;
+
+  /// The stored artifact under `key` (nullptr if absent), uncounted.
+  std::shared_ptr<const void> Find(const std::string& key) const;
+  /// Folds one run's private store into the map (calling thread only).
+  void Merge(const RunStore& store);
+
   /// The prepare-then-seal discipline as a phantom capability: mutating the
-  /// artifact map requires the *prepare phase* — the serial, run-index-order
-  /// Prepare() pass that runs before the ThreadPool fan-out. Pool-time code
-  /// cannot name (let alone assert) the phase, so under clang's
-  /// -Wthread-safety a new mutation path of `entries_` that does not route
-  /// through AssertPreparePhase() — which dynamically re-checks !sealed_ —
-  /// is a compile error, not a latent race.
+  /// artifact map requires the *prepare phase* — Prepare()'s run-order
+  /// merge on the calling thread, which never overlaps a build task.
+  /// Pool-time code cannot name (let alone assert) the phase, so under
+  /// clang's -Wthread-safety a new mutation path of `entries_` that does
+  /// not route through AssertPreparePhase() — which dynamically re-checks
+  /// !sealed_ — is a compile error, not a latent race.
   class WSNQ_CAPABILITY("scenario_cache/prepare") PreparePhase {};
 
-  /// Dynamically checks the unsealed (serial Prepare) phase, then grants
+  /// Dynamically checks the unsealed (Prepare merge) phase, then grants
   /// the capability to the analysis. Defined in the .cc (needs check.h).
   void AssertPreparePhase() WSNQ_ASSERT_CAPABILITY(prepare_phase_);
-  /// Reads are phase-agnostic: the map is exclusively owned while
-  /// preparing and immutable once sealed, so a shared grant is always
-  /// sound. Purely an analysis-level claim — no runtime effect.
+  /// Reads are phase-agnostic: the map only changes in Prepare's merges,
+  /// which never overlap a build task, and is immutable once sealed, so a
+  /// shared grant is always sound. Purely an analysis-level claim — no
+  /// runtime effect.
   void AssertReadPhase() const
       WSNQ_ASSERT_SHARED_CAPABILITY(prepare_phase_) {}
 
   PreparePhase prepare_phase_;
   std::unordered_map<std::string, std::shared_ptr<const void>> entries_
       WSNQ_GUARDED_BY(prepare_phase_);
-  // Written only by the serial Prepare() pass; read by pool-time Get/Put
-  // after the happens-before edge of the ThreadPool fan-out, so it stays
-  // outside the phase capability (guarding it would be circular: the
+  // Written only by Prepare() on the calling thread; read by pool-time
+  // Get/Put after the happens-before edge of the ThreadPool fan-out, so it
+  // stays outside the phase capability (guarding it would be circular: the
   // asserts themselves read it).
   bool sealed_ = false;
   // Stat counters only — mutable atomics so the sealed, logically-const

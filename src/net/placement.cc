@@ -39,26 +39,30 @@ std::vector<Point2D> JitteredGridPlacement(int count, double width,
   return points;
 }
 
-bool IsConnected(const std::vector<Point2D>& points, double rho) {
-  RadioGraph graph(points, rho);
-  return graph.IsConnected();
+StatusOr<RadioGraph> ConnectedDeployment(int count, double width,
+                                         double height, double rho, Rng* rng,
+                                         int max_attempts) {
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    RadioGraph graph(UniformPlacement(count, width, height, rng), rho);
+    if (graph.IsConnected()) return graph;
+  }
+  for (double jitter : {0.25, 0.1, 0.04, 0.0}) {
+    RadioGraph graph(JitteredGridPlacement(count, width, height, jitter, rng),
+                     rho);
+    if (graph.IsConnected()) return graph;
+  }
+  return Status::FailedPrecondition(
+      "could not generate a connected topology: radio range too small for "
+      "the requested node density");
 }
 
 StatusOr<std::vector<Point2D>> ConnectedPlacement(int count, double width,
                                                   double height, double rho,
                                                   Rng* rng, int max_attempts) {
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    std::vector<Point2D> points = UniformPlacement(count, width, height, rng);
-    if (IsConnected(points, rho)) return points;
-  }
-  for (double jitter : {0.25, 0.1, 0.04, 0.0}) {
-    std::vector<Point2D> grid =
-        JitteredGridPlacement(count, width, height, jitter, rng);
-    if (IsConnected(grid, rho)) return grid;
-  }
-  return Status::FailedPrecondition(
-      "could not generate a connected topology: radio range too small for "
-      "the requested node density");
+  StatusOr<RadioGraph> graph =
+      ConnectedDeployment(count, width, height, rho, rng, max_attempts);
+  if (!graph.ok()) return graph.status();
+  return graph.value().points();
 }
 
 }  // namespace wsnq

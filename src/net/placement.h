@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "net/geometry.h"
+#include "net/radio_graph.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -25,13 +26,17 @@ std::vector<Point2D> JitteredGridPlacement(int count, double width,
                                            double height,
                                            double jitter_fraction, Rng* rng);
 
-/// True iff the unit-disk graph over `points` with range `rho` is connected.
-bool IsConnected(const std::vector<Point2D>& points, double rho);
-
 /// Draws uniform placements until one is connected under range `rho`
 /// (at most `max_attempts` draws). Falls back to a jittered grid — which is
 /// connected for any rho >= ~1.5 cell diagonals — and finally fails if even
-/// that is disconnected.
+/// that is disconnected. Returns the connected graph, which owns the
+/// accepted points: the connectivity test's graph is the deployment's
+/// graph, so it is built once.
+StatusOr<RadioGraph> ConnectedDeployment(int count, double width,
+                                         double height, double rho, Rng* rng,
+                                         int max_attempts = 50);
+
+/// ConnectedDeployment's points alone (same draws, same result).
 StatusOr<std::vector<Point2D>> ConnectedPlacement(int count, double width,
                                                   double height, double rho,
                                                   Rng* rng,

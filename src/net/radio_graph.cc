@@ -9,12 +9,11 @@
 #include "util/check.h"
 
 namespace wsnq {
-
 RadioGraph::RadioGraph(std::vector<Point2D> points, double rho)
     : points_(std::move(points)), rho_(rho) {
   WSNQ_CHECK_GT(rho, 0.0);
   const int n = size();
-  adjacency_.assign(static_cast<size_t>(n), {});
+  offsets_.assign(static_cast<size_t>(n) + 1, 0);
   if (n == 0) return;
 
   // Bounding box and grid with cell size >= rho: the +-1-cell neighbour
@@ -51,36 +50,113 @@ RadioGraph::RadioGraph(std::vector<Point2D> points, double rho)
     return cy * cols + cx;
   };
 
-  std::vector<std::vector<int>> cells(static_cast<size_t>(cols) *
-                                      static_cast<size_t>(rows));
+  // Counting sort of the vertices into cells (ascending id within a cell),
+  // with the positions copied alongside so a cell scan reads one
+  // contiguous run.
+  const size_t num_cells = static_cast<size_t>(cols) *
+                           static_cast<size_t>(rows);
+  std::vector<int> cell_start(num_cells + 1, 0);
+  std::vector<int> cell_of_vertex(static_cast<size_t>(n));
   for (int v = 0; v < n; ++v) {
-    cells[static_cast<size_t>(cell_of(points_[static_cast<size_t>(v)]))]
-        .push_back(v);
+    const int c = cell_of(points_[static_cast<size_t>(v)]);
+    cell_of_vertex[static_cast<size_t>(v)] = c;
+    ++cell_start[static_cast<size_t>(c) + 1];
+  }
+  for (size_t c = 0; c < num_cells; ++c) cell_start[c + 1] += cell_start[c];
+  std::vector<int> member(static_cast<size_t>(n));
+  std::vector<Point2D> member_pos(static_cast<size_t>(n));
+  {
+    std::vector<int> cursor(cell_start.begin(), cell_start.end() - 1);
+    for (int v = 0; v < n; ++v) {
+      const size_t c =
+          static_cast<size_t>(cell_of_vertex[static_cast<size_t>(v)]);
+      const size_t slot = static_cast<size_t>(cursor[c]++);
+      member[slot] = v;
+      member_pos[slot] = points_[static_cast<size_t>(v)];
+    }
   }
 
+  // Pass 1: degrees. Visits every unordered pair {u, v} within range
+  // exactly once — pairs inside a cell, then pairs between the cell and its
+  // four forward neighbours (E, SW, S, SE), so no pair is reached from both
+  // sides — and counts it for both ends, one slot ahead so the prefix sum
+  // below turns the degrees into offsets in place.
   const double rho_sq = rho * rho;
-  for (int v = 0; v < n; ++v) {
-    const Point2D& p = points_[static_cast<size_t>(v)];
-    const int cx = std::clamp(static_cast<int>((p.x - min_x) / cell), 0,
-                              cols - 1);
-    const int cy = std::clamp(static_cast<int>((p.y - min_y) / cell), 0,
-                              rows - 1);
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx = -1; dx <= 1; ++dx) {
-        const int nx = cx + dx;
-        const int ny = cy + dy;
-        if (nx < 0 || nx >= cols || ny < 0 || ny >= rows) continue;
-        for (int u : cells[static_cast<size_t>(ny * cols + nx)]) {
-          if (u == v) continue;
-          if (SquaredDistance(p, points_[static_cast<size_t>(u)]) <= rho_sq) {
-            adjacency_[static_cast<size_t>(v)].push_back(u);
+  constexpr int kForward[4][2] = {{1, 0}, {-1, 1}, {0, 1}, {1, 1}};
+  auto count_edge = [&](int u, int v) {
+    ++offsets_[static_cast<size_t>(u) + 1];
+    ++offsets_[static_cast<size_t>(v) + 1];
+  };
+  for (int cy = 0; cy < rows; ++cy) {
+    for (int cx = 0; cx < cols; ++cx) {
+      const size_t c = static_cast<size_t>(cy * cols + cx);
+      const int begin = cell_start[c];
+      const int end = cell_start[c + 1];
+      for (int i = begin; i < end; ++i) {
+        const Point2D& p = member_pos[static_cast<size_t>(i)];
+        for (int j = i + 1; j < end; ++j) {
+          if (SquaredDistance(p, member_pos[static_cast<size_t>(j)]) <=
+              rho_sq) {
+            count_edge(member[static_cast<size_t>(i)],
+                       member[static_cast<size_t>(j)]);
+          }
+        }
+      }
+      for (const auto& step : kForward) {
+        const int nx = cx + step[0];
+        const int ny = cy + step[1];
+        if (nx < 0 || nx >= cols || ny >= rows) continue;
+        const size_t nc = static_cast<size_t>(ny * cols + nx);
+        const int other_begin = cell_start[nc];
+        const int other_end = cell_start[nc + 1];
+        for (int i = begin; i < end; ++i) {
+          const Point2D& p = member_pos[static_cast<size_t>(i)];
+          for (int j = other_begin; j < other_end; ++j) {
+            if (SquaredDistance(p, member_pos[static_cast<size_t>(j)]) <=
+                rho_sq) {
+              count_edge(member[static_cast<size_t>(i)],
+                         member[static_cast<size_t>(j)]);
+            }
           }
         }
       }
     }
-    // Deterministic neighbour order independent of grid iteration order.
-    std::sort(adjacency_[static_cast<size_t>(v)].begin(),
-              adjacency_[static_cast<size_t>(v)].end());
+  }
+  for (size_t v = 0; v < static_cast<size_t>(n); ++v) {
+    offsets_[v + 1] += offsets_[v];
+  }
+  // Pass 2: fill. Walking the vertices in ascending id and appending v to
+  // the slice of each neighbour u leaves every slice ascending, with no
+  // per-vertex sort and no second neighbour array. The walk tests each
+  // pair from both ends; SquaredDistance is symmetric bit for bit, so it
+  // finds exactly the pairs pass 1 counted. The three cells of a grid row
+  // around v are adjacent in the cell-sorted order, so each row is one
+  // contiguous run of members.
+  neighbors_.resize(static_cast<size_t>(offsets_[static_cast<size_t>(n)]));
+  std::vector<int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (int v = 0; v < n; ++v) {
+    const Point2D& p = points_[static_cast<size_t>(v)];
+    const int c = cell_of_vertex[static_cast<size_t>(v)];
+    const int cx = c % cols;
+    const int cy = c / cols;
+    for (int ny = std::max(cy - 1, 0); ny <= std::min(cy + 1, rows - 1);
+         ++ny) {
+      const size_t row = static_cast<size_t>(ny) * static_cast<size_t>(cols);
+      const int begin = cell_start[row + static_cast<size_t>(
+                                             std::max(cx - 1, 0))];
+      const int end = cell_start[row + static_cast<size_t>(
+                                           std::min(cx + 1, cols - 1)) +
+                                 1];
+      for (int j = begin; j < end; ++j) {
+        const int u = member[static_cast<size_t>(j)];
+        if (u != v &&
+            SquaredDistance(p, member_pos[static_cast<size_t>(j)]) <=
+                rho_sq) {
+          neighbors_[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] =
+              v;
+        }
+      }
+    }
   }
 }
 

@@ -1,7 +1,6 @@
 #include "net/spanning_tree.h"
 
 #include <algorithm>
-#include <queue>
 #include <vector>
 
 #include "net/geometry.h"
@@ -14,16 +13,16 @@ namespace {
 // BFS hop distances from `root`; -1 when unreachable.
 std::vector<int> BfsDepths(const RadioGraph& graph, int root) {
   std::vector<int> depth(static_cast<size_t>(graph.size()), -1);
-  std::queue<int> frontier;
-  frontier.push(root);
+  std::vector<int> frontier;
+  frontier.reserve(static_cast<size_t>(graph.size()));
+  frontier.push_back(root);
   depth[static_cast<size_t>(root)] = 0;
-  while (!frontier.empty()) {
-    const int v = frontier.front();
-    frontier.pop();
+  for (size_t head = 0; head < frontier.size(); ++head) {
+    const int v = frontier[head];
     for (int u : graph.neighbors(v)) {
       if (depth[static_cast<size_t>(u)] < 0) {
         depth[static_cast<size_t>(u)] = depth[static_cast<size_t>(v)] + 1;
-        frontier.push(u);
+        frontier.push_back(u);
       }
     }
   }
@@ -38,9 +37,8 @@ void FinalizeTree(SpanningTree* tree) {
     if (v == tree->root) continue;
     tree->children[static_cast<size_t>(
                        tree->parent[static_cast<size_t>(v)])]
-        .push_back(v);
+        .push_back(v);  // ascending v, so every list is sorted
   }
-  for (auto& c : tree->children) std::sort(c.begin(), c.end());
 
   tree->pre_order.clear();
   tree->post_order.clear();
@@ -86,34 +84,38 @@ StatusOr<SpanningTree> BuildRoutingTree(const RadioGraph& graph, int root,
   tree.parent.assign(static_cast<size_t>(n), -1);
   Rng rng(seed ^ 0x5eed7ee5eed7ee5ULL);
   // Process nodes level by level so kDegreeBalanced sees up-to-date child
-  // counts; within a level, ascending vertex id (deterministic).
+  // counts; within a level, ascending vertex id (deterministic). A stable
+  // counting sort by depth yields exactly that order.
+  int max_depth = 0;
+  for (int d : tree.depth) max_depth = std::max(max_depth, d);
+  std::vector<int> level_start(static_cast<size_t>(max_depth) + 2, 0);
+  for (int d : tree.depth) ++level_start[static_cast<size_t>(d) + 1];
+  for (size_t d = 0; d + 1 < level_start.size(); ++d) {
+    level_start[d + 1] += level_start[d];
+  }
   std::vector<int> order(static_cast<size_t>(n));
-  for (int v = 0; v < n; ++v) order[static_cast<size_t>(v)] = v;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = tree.depth[static_cast<size_t>(a)];
-    const int db = tree.depth[static_cast<size_t>(b)];
-    if (da != db) return da < db;
-    return a < b;
-  });
+  for (int v = 0; v < n; ++v) {
+    const size_t d = static_cast<size_t>(tree.depth[static_cast<size_t>(v)]);
+    order[static_cast<size_t>(level_start[d]++)] = v;
+  }
   std::vector<int> child_count(static_cast<size_t>(n), 0);
 
   for (int v : order) {
     if (v == root) continue;
-    std::vector<int> candidates;
-    for (int u : graph.neighbors(v)) {
-      if (tree.depth[static_cast<size_t>(u)] ==
-          tree.depth[static_cast<size_t>(v)] - 1) {
-        candidates.push_back(u);
-      }
-    }
-    WSNQ_CHECK(!candidates.empty());
-    int best = candidates.front();
+    // Candidates are the neighbours one hop closer to the root, in
+    // ascending id; each policy picks among them in one pass.
+    const int want = tree.depth[static_cast<size_t>(v)] - 1;
+    const auto is_candidate = [&](int u) {
+      return tree.depth[static_cast<size_t>(u)] == want;
+    };
+    int best = -1;
     switch (selection) {
       case ParentSelection::kNearest: {
-        double best_d = SquaredDistance(graph.point(v), graph.point(best));
-        for (int u : candidates) {
+        double best_d = 0.0;
+        for (int u : graph.neighbors(v)) {
+          if (!is_candidate(u)) continue;
           const double d = SquaredDistance(graph.point(v), graph.point(u));
-          if (d < best_d) {
+          if (best < 0 || d < best_d) {
             best = u;
             best_d = d;
           }
@@ -121,20 +123,30 @@ StatusOr<SpanningTree> BuildRoutingTree(const RadioGraph& graph, int root,
         break;
       }
       case ParentSelection::kDegreeBalanced: {
-        for (int u : candidates) {
-          if (child_count[static_cast<size_t>(u)] <
-              child_count[static_cast<size_t>(best)]) {
+        for (int u : graph.neighbors(v)) {
+          if (!is_candidate(u)) continue;
+          if (best < 0 || child_count[static_cast<size_t>(u)] <
+                              child_count[static_cast<size_t>(best)]) {
             best = u;
           }
         }
         break;
       }
       case ParentSelection::kRandom: {
-        best = candidates[static_cast<size_t>(rng.UniformInt(
-            0, static_cast<int64_t>(candidates.size()) - 1))];
+        int64_t count = 0;
+        for (int u : graph.neighbors(v)) count += is_candidate(u) ? 1 : 0;
+        WSNQ_CHECK_GT(count, 0);
+        int64_t pick = rng.UniformInt(0, count - 1);
+        for (int u : graph.neighbors(v)) {
+          if (is_candidate(u) && pick-- == 0) {
+            best = u;
+            break;
+          }
+        }
         break;
       }
     }
+    WSNQ_CHECK_GE(best, 0);
     tree.parent[static_cast<size_t>(v)] = best;
     ++child_count[static_cast<size_t>(best)];
   }

@@ -114,6 +114,16 @@ CounterReading CounterSet::Read() const {
   return reading;
 }
 
+std::vector<std::string> CounterSet::OpenedEvents() const {
+  std::vector<std::string> names;
+#if WSNQ_PERF_COUNTERS_SUPPORTED
+  for (int i = 0; i < kEvents; ++i) {
+    if (fds_[i] >= 0) names.push_back(kEventSpecs[i].name);
+  }
+#endif
+  return names;
+}
+
 bool CounterSet::Supported() { return WSNQ_PERF_COUNTERS_SUPPORTED != 0; }
 
 void CounterSet::ForceUnavailableForTest(bool force) {

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace wsnq {
 namespace perf {
@@ -43,6 +44,9 @@ struct CounterReading {
 /// keeps one per worker in a thread_local).
 class CounterSet {
  public:
+  /// Events a set tries to open: CounterReading's five fields.
+  static constexpr int kEvents = 5;
+
   /// Opens the counters for the calling thread. Never fails hard: check
   /// ok() afterwards; error() says why the set (or part of it) is missing.
   CounterSet();
@@ -57,6 +61,10 @@ class CounterSet {
   /// empty otherwise.
   const std::string& error() const { return error_; }
 
+  /// Names of the events that opened ("cycles", ..., "task-clock"), in
+  /// CounterReading field order; empty when !ok().
+  std::vector<std::string> OpenedEvents() const;
+
   /// Reads the current counter values (valid == ok()).
   CounterReading Read() const;
 
@@ -70,7 +78,6 @@ class CounterSet {
   static void ForceUnavailableForTest(bool force);
 
  private:
-  static constexpr int kEvents = 5;
   int fds_[kEvents];
   bool ok_ = false;
   std::string error_;

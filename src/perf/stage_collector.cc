@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "perf/alloc_observer.h"
@@ -38,10 +39,10 @@ CounterSet& ThreadCounters() {
   return *t_counters;
 }
 
-/// Delta of one optional counter: -1 (unavailable) on either side keeps
-/// the field out of the charge.
+/// Delta of one optional counter: -1 (unavailable) on either side stays
+/// -1, so the report can say "unavailable" instead of a made-up 0.
 int64_t Delta(int64_t begin, int64_t end) {
-  if (begin < 0 || end < 0) return 0;
+  if (begin < 0 || end < 0) return -1;
   return end >= begin ? end - begin : 0;
 }
 
@@ -70,10 +71,10 @@ void StageCollector::EndSpan(uint64_t token, prof::StageExtras* extras) {
                                  end.cache_misses);
     extras->branch_misses = Delta(begin.counters.branch_misses,
                                   end.branch_misses);
+    const int64_t task_clock_ns =
+        Delta(begin.counters.task_clock_ns, end.task_clock_ns);
     extras->task_clock_s =
-        static_cast<double>(
-            Delta(begin.counters.task_clock_ns, end.task_clock_ns)) *
-        1e-9;
+        task_clock_ns < 0 ? -1.0 : static_cast<double>(task_clock_ns) * 1e-9;
   }
   if (AllocHooksCompiledIn()) {
     const AllocSnapshot now = ThreadAllocSnapshot();
@@ -95,8 +96,16 @@ std::string InstallStageCollector() {
   // its fds outside any timed region).
   CounterSet& counters = ThreadCounters();
   std::string status = "# perf counters=";
-  if (counters.ok()) {
+  const std::vector<std::string> opened = counters.OpenedEvents();
+  if (opened.size() == static_cast<size_t>(CounterSet::kEvents)) {
     status += "on";
+  } else if (!opened.empty()) {
+    // Name what opened: the missing events report as null, not as 0.
+    status += "partial(";
+    for (size_t i = 0; i < opened.size(); ++i) {
+      status += (i == 0 ? "" : ",") + opened[i];
+    }
+    status += ")";
   } else {
     status += "off (" + counters.error() + "; wall-clock-only stats)";
   }

@@ -261,15 +261,29 @@ std::map<std::string, StageStat>& Stages() WSNQ_REQUIRES(ProfileMu()) {
   return stages;
 }
 
+/// Sum of one optional counter: -1 ("unavailable") on either side wins,
+/// since a total missing some spans' share is no total at all.
+template <typename T>
+T SumOptional(T a, T b) {
+  return a < 0 || b < 0 ? T(-1) : a + b;
+}
+
 }  // namespace
 
 void StageExtras::Merge(const StageExtras& other) {
-  counter_spans += other.counter_spans;
-  cycles += other.cycles;
-  instructions += other.instructions;
-  cache_misses += other.cache_misses;
-  branch_misses += other.branch_misses;
-  task_clock_s += other.task_clock_s;
+  if (other.counter_spans > 0) {
+    const bool first = counter_spans == 0;
+    counter_spans += other.counter_spans;
+    cycles = first ? other.cycles : SumOptional(cycles, other.cycles);
+    instructions = first ? other.instructions
+                         : SumOptional(instructions, other.instructions);
+    cache_misses = first ? other.cache_misses
+                         : SumOptional(cache_misses, other.cache_misses);
+    branch_misses = first ? other.branch_misses
+                          : SumOptional(branch_misses, other.branch_misses);
+    task_clock_s = first ? other.task_clock_s
+                         : SumOptional(task_clock_s, other.task_clock_s);
+  }
   alloc_spans += other.alloc_spans;
   alloc_count += other.alloc_count;
   alloc_bytes += other.alloc_bytes;
@@ -365,16 +379,27 @@ void AppendStageFields(std::string* out, const StageStat& stat, bool json) {
           sep, q, kv, static_cast<long long>(stat.count), sep, q, kv,
           stat.total_s, sep, q, kv, stat.min_s, sep, q, kv, stat.max_s);
   if (x.counter_spans > 0) {
-    AppendF(out,
-            "%s%scounter_spans%s%lld%s%scycles%s%lld%s%sinstructions%s%lld"
-            "%s%scache_misses%s%lld%s%sbranch_misses%s%lld"
-            "%s%stask_clock_s%s%.6f",
-            sep, q, kv, static_cast<long long>(x.counter_spans), sep, q, kv,
-            static_cast<long long>(x.cycles), sep, q, kv,
-            static_cast<long long>(x.instructions), sep, q, kv,
-            static_cast<long long>(x.cache_misses), sep, q, kv,
-            static_cast<long long>(x.branch_misses), sep, q, kv,
-            x.task_clock_s);
+    AppendF(out, "%s%scounter_spans%s%lld", sep, q, kv,
+            static_cast<long long>(x.counter_spans));
+    const std::pair<const char*, int64_t> counts[] = {
+        {"cycles", x.cycles},
+        {"instructions", x.instructions},
+        {"cache_misses", x.cache_misses},
+        {"branch_misses", x.branch_misses}};
+    // An event unavailable in some span reads -1: write null, never 0.
+    for (const auto& [name, value] : counts) {
+      if (value < 0) {
+        AppendF(out, "%s%s%s%snull", sep, q, name, kv);
+      } else {
+        AppendF(out, "%s%s%s%s%lld", sep, q, name, kv,
+                static_cast<long long>(value));
+      }
+    }
+    if (x.task_clock_s < 0) {
+      AppendF(out, "%s%stask_clock_s%snull", sep, q, kv);
+    } else {
+      AppendF(out, "%s%stask_clock_s%s%.6f", sep, q, kv, x.task_clock_s);
+    }
   }
   if (x.alloc_spans > 0) {
     AppendF(out, "%s%salloc_count%s%lld%s%salloc_bytes%s%lld", sep, q, kv,

@@ -202,9 +202,13 @@ void Enable();
 /// (WSNQ_PERF_ALLOC). Spans without an observer — or on kernels where the
 /// counters are denied — simply carry counter_spans == alloc_spans == 0;
 /// wall-clock-only profiling is the unchanged base case, not an error.
+/// A single event the host does not provide (say, cycles on a PMU-less VM
+/// where task-clock still opens) reads -1, stays -1 through Merge, and is
+/// reported as null.
 struct StageExtras {
   /// Spans that contributed hardware-counter deltas (0: wall-clock only).
   int64_t counter_spans = 0;
+  /// Counter deltas; -1 when the event was unavailable in some span.
   int64_t cycles = 0;
   int64_t instructions = 0;
   int64_t cache_misses = 0;

@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,14 +40,14 @@ TEST(PlacementTest, JitteredGridConnectedAtModestRange) {
   Rng rng(2);
   const auto points = JitteredGridPlacement(256, 200.0, 200.0, 0.25, &rng);
   // Cell size 12.5 m; 20 m covers neighbours even with max jitter.
-  EXPECT_TRUE(IsConnected(points, 20.0));
+  EXPECT_TRUE(RadioGraph(points, 20.0).IsConnected());
 }
 
 TEST(PlacementTest, ConnectedPlacementIsConnected) {
   Rng rng(3);
   auto result = ConnectedPlacement(128, 200.0, 200.0, 35.0, &rng);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(IsConnected(result.value(), 35.0));
+  EXPECT_TRUE(RadioGraph(result.value(), 35.0).IsConnected());
 }
 
 TEST(PlacementTest, ImpossibleRangeFails) {
@@ -67,7 +70,9 @@ TEST(RadioGraphTest, EdgesMatchBruteForce) {
         expected.push_back(u);
       }
     }
-    EXPECT_EQ(graph.neighbors(v), expected) << "vertex " << v;
+    const auto nb = graph.neighbors(v);
+    EXPECT_EQ(std::vector<int>(nb.begin(), nb.end()), expected)
+        << "vertex " << v;
   }
 }
 
@@ -80,6 +85,98 @@ TEST(RadioGraphTest, SymmetricAdjacency) {
       EXPECT_TRUE(std::find(back.begin(), back.end(), v) != back.end());
     }
   }
+}
+
+// --- CSR graph against an O(n^2) reference --------------------------------
+
+// Brute-force neighbours of `v`: every u != v within rho, ascending.
+std::vector<int> BruteForceNeighbors(const std::vector<Point2D>& points,
+                                     double rho, int v) {
+  std::vector<int> expected;
+  for (int u = 0; u < static_cast<int>(points.size()); ++u) {
+    if (u != v && SquaredDistance(points[static_cast<size_t>(v)],
+                                  points[static_cast<size_t>(u)]) <=
+                      rho * rho) {
+      expected.push_back(u);
+    }
+  }
+  return expected;
+}
+
+// Checks the vertices `v % stride == 0` against the reference (neighbours
+// identical, so also sorted) and for symmetry; every list for strict order.
+void ExpectMatchesBruteForce(const std::vector<Point2D>& points, double rho,
+                             const std::string& context, int stride = 1) {
+  const RadioGraph graph(points, rho);
+  ASSERT_EQ(graph.size(), static_cast<int>(points.size())) << context;
+  for (int v = 0; v < graph.size(); ++v) {
+    const auto nb = graph.neighbors(v);
+    EXPECT_TRUE(std::adjacent_find(nb.begin(), nb.end(),
+                                   std::greater_equal<int>()) == nb.end())
+        << context << ": neighbours of " << v << " not strictly ascending";
+    if (v % stride != 0) continue;
+    EXPECT_EQ(std::vector<int>(nb.begin(), nb.end()),
+              BruteForceNeighbors(points, rho, v))
+        << context << ": vertex " << v;
+    for (int u : nb) {
+      const auto back = graph.neighbors(u);
+      EXPECT_TRUE(std::binary_search(back.begin(), back.end(), v))
+          << context << ": edge " << v << "-" << u << " not symmetric";
+    }
+  }
+}
+
+TEST(RadioGraphPropertyTest, UniformPlacementsMatchBruteForce) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    for (int n : {50, 400}) {
+      for (double rho : {12.0, 35.0, 90.0}) {
+        Rng rng(seed);
+        ExpectMatchesBruteForce(UniformPlacement(n, 200.0, 150.0, &rng), rho,
+                                "seed=" + std::to_string(seed) +
+                                    " n=" + std::to_string(n) +
+                                    " rho=" + std::to_string(rho));
+      }
+    }
+  }
+}
+
+TEST(RadioGraphPropertyTest, DegenerateShapesMatchBruteForce) {
+  // All points coincident: the complete graph, in one grid cell.
+  ExpectMatchesBruteForce(std::vector<Point2D>(60, {5.0, 5.0}), 1.0,
+                          "coincident");
+  // Collinear, horizontal and diagonal: a one-row grid, and a grid whose
+  // occupied cells form a diagonal.
+  std::vector<Point2D> row;
+  std::vector<Point2D> diagonal;
+  for (int i = 0; i < 150; ++i) {
+    row.push_back({i * 0.7, 3.0});
+    diagonal.push_back({i * 0.5, i * 0.5});
+  }
+  ExpectMatchesBruteForce(row, 2.0, "row");
+  ExpectMatchesBruteForce(diagonal, 1.5, "diagonal");
+  // Tiny graphs.
+  ExpectMatchesBruteForce({{1.0, 2.0}}, 5.0, "n=1");
+  ExpectMatchesBruteForce({{0.0, 0.0}, {3.0, 4.0}}, 5.0, "n=2 in range");
+  ExpectMatchesBruteForce({{0.0, 0.0}, {3.0, 4.0}}, 4.999, "n=2 apart");
+}
+
+TEST(RadioGraphPropertyTest, ExtremeRangesMatchBruteForce) {
+  Rng rng(9);
+  std::vector<Point2D> points = UniformPlacement(500, 200.0, 200.0, &rng);
+  // A few exact duplicates, so the tiny range still has edges.
+  for (size_t i = 0; i < 20; ++i) points[i + 100] = points[i];
+  // rho far below the spread: the grid widens its cells past rho.
+  ExpectMatchesBruteForce(points, 1e-3, "rho=1e-3");
+  // rho far above the spread: the complete graph.
+  ExpectMatchesBruteForce(points, 1e4, "rho=1e4");
+}
+
+TEST(RadioGraphPropertyTest, DensifyingFig6ShapeMatchesBruteForce) {
+  // fig6 grows n at a fixed 200 x 200 area: 16k nodes at rho = 35 have a
+  // mean degree above 1,000. Brute force on every 97th vertex.
+  Rng rng(6);
+  ExpectMatchesBruteForce(UniformPlacement(16384, 200.0, 200.0, &rng), 35.0,
+                          "fig6 n=16384", /*stride=*/97);
 }
 
 TEST(RadioGraphTest, DisconnectedDetected) {
@@ -213,6 +310,54 @@ TEST(RoutingTreeTest, RandomSelectionIsSeedDeterministic) {
   auto c = BuildRoutingTree(graph, 0, ParentSelection::kRandom, 43);
   EXPECT_EQ(a.value().parent, b.value().parent);
   EXPECT_NE(a.value().parent, c.value().parent);
+}
+
+// FNV-1a over a parent array: a compact fingerprint for the goldens below.
+uint64_t ParentHash(const std::vector<int>& parent) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (int p : parent) {
+    h ^= static_cast<uint64_t>(static_cast<uint32_t>(p));
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins the exact parent choice of every ParentSelection policy on seeded
+// deployments, dense (fixed 200 x 200 area) and at constant density (side
+// 200 * sqrt(n / 256)). Any change to the candidate scan order, the level
+// processing order or the kRandom draw shows up here first.
+TEST(RoutingTreeTest, ParentArraysMatchGolden) {
+  struct Case {
+    int n;
+    double side;
+    uint64_t seed;
+    int root;
+    uint64_t nearest, balanced, random;
+  };
+  const Case cases[] = {
+      {300, 200.0, 11, 0, 17987751262189265079ULL, 8177908115761050256ULL,
+       8147461595997927278ULL},
+      {300, 200.0, 11, 137, 1219813934936722293ULL, 830405621071342081ULL,
+       6063692135414853213ULL},
+      {4096, 800.0, 12, 2048, 12662689592777330606ULL,
+       7916645100176904965ULL, 1366098505333075174ULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    auto placement = ConnectedPlacement(c.n, c.side, c.side, 35.0, &rng);
+    ASSERT_TRUE(placement.ok());
+    const RadioGraph graph(std::move(placement).value(), 35.0);
+    const uint64_t want[] = {c.nearest, c.balanced, c.random};
+    const ParentSelection policies[] = {ParentSelection::kNearest,
+                                        ParentSelection::kDegreeBalanced,
+                                        ParentSelection::kRandom};
+    for (int i = 0; i < 3; ++i) {
+      auto tree = BuildRoutingTree(graph, c.root, policies[i], 99);
+      ASSERT_TRUE(tree.ok());
+      EXPECT_EQ(ParentHash(tree.value().parent), want[i])
+          << "n=" << c.n << " root=" << c.root << " policy=" << i;
+    }
+  }
 }
 
 TEST(SpanningTreeTest, DisconnectedFails) {

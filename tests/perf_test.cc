@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -175,6 +176,95 @@ TEST(ProfSnapshotTest, MergesExtrasAcrossSamples) {
   EXPECT_EQ(reports[0].extras.instructions, 400);
   EXPECT_DOUBLE_EQ(reports[0].extras.task_clock_s, 0.5);
   EXPECT_EQ(reports[0].extras.alloc_spans, 0);
+}
+
+// A host can open some events and not others (a PMU-less VM opens only
+// task-clock). The missing events read -1; that marker must survive the
+// merge — a sum over spans that lack the event is unknown, not 0 — and
+// the report must write null for it.
+TEST(ProfSnapshotTest, UnavailableCountersStayUnavailableThroughMerge) {
+  prof::ResetForTest();
+  prof::StageExtras partial;
+  partial.counter_spans = 1;
+  partial.cycles = -1;
+  partial.instructions = -1;
+  partial.cache_misses = -1;
+  partial.branch_misses = -1;
+  partial.task_clock_s = 0.25;
+  prof::StageExtras full = partial;
+  full.cycles = 100;
+  full.instructions = 200;
+  full.cache_misses = 3;
+  full.branch_misses = 4;
+  prof::AddSampleWithExtras("perf_test/partial", 0.5, &full);
+  prof::AddSampleWithExtras("perf_test/partial", 0.5, &partial);
+  prof::AddSampleWithExtras("perf_test/partial", 0.5, &full);
+  prof::StageExtras no_task_clock = full;
+  no_task_clock.task_clock_s = -1.0;
+  prof::AddSampleWithExtras("perf_test/no_task_clock", 0.5, &no_task_clock);
+  prof::AddSampleWithExtras("perf_test/no_task_clock", 0.5, &full);
+  const std::vector<prof::StageReport> reports = prof::Snapshot();
+  ASSERT_EQ(reports.size(), 2u);
+  const prof::StageExtras& no_clock = reports[0].extras;
+  EXPECT_EQ(no_clock.counter_spans, 2);
+  EXPECT_EQ(no_clock.cycles, 200);
+  EXPECT_EQ(no_clock.task_clock_s, -1.0);
+  const prof::StageExtras& merged = reports[1].extras;
+  EXPECT_EQ(merged.counter_spans, 3);
+  EXPECT_EQ(merged.cycles, -1);
+  EXPECT_EQ(merged.instructions, -1);
+  EXPECT_EQ(merged.cache_misses, -1);
+  EXPECT_EQ(merged.branch_misses, -1);
+  EXPECT_DOUBLE_EQ(merged.task_clock_s, 0.75);
+
+  const std::string path = testing::TempDir() + "perf_test_partial.json";
+  ASSERT_TRUE(prof::WriteJson(path).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string json;
+  char buf[512];
+  for (size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    json.append(buf, n);
+  }
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_NE(json.find("\"cycles\":null,\"instructions\":null,"
+                      "\"cache_misses\":null,\"branch_misses\":null,"
+                      "\"task_clock_s\":0.750000"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"cycles\":200"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"task_clock_s\":null"), std::string::npos) << json;
+  prof::ResetForTest();
+}
+
+// The status line names what opened: "on" for every event, the opened
+// events for a partial set, "off" with a reason for none.
+TEST(StageCollectorTest, StatusLineNamesOpenedEvents) {
+  const std::string status = perf::InstallStageCollector();
+  perf::UninstallStageCollectorForTest();
+  const std::vector<std::string> opened = perf::CounterSet().OpenedEvents();
+  if (opened.empty()) {
+    EXPECT_NE(status.find("counters=off ("), std::string::npos) << status;
+  } else if (opened.size() == 5) {
+    EXPECT_NE(status.find("counters=on"), std::string::npos) << status;
+  } else {
+    std::string names;
+    for (const std::string& name : opened) {
+      names += (names.empty() ? "" : ",") + name;
+    }
+    EXPECT_NE(status.find("counters=partial(" + names + ")"),
+              std::string::npos)
+        << status;
+  }
+}
+
+TEST(CounterSetTest, OpenedEventsMatchAvailability) {
+  perf::CounterSet::ForceUnavailableForTest(true);
+  EXPECT_TRUE(perf::CounterSet().OpenedEvents().empty());
+  perf::CounterSet::ForceUnavailableForTest(false);
+  const perf::CounterSet set;
+  EXPECT_EQ(set.ok(), !set.OpenedEvents().empty());
 }
 
 // The full fallback path through the collector: a thread whose counters

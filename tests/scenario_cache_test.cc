@@ -6,8 +6,13 @@
 // count. Runs under the tsan CI job with WSNQ_SCENARIO_CACHE=1 so the
 // sealed read-only lookup phase is race-checked.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -307,6 +312,179 @@ TEST(ScenarioCacheTest, ConcurrentSealedBuildsAreRaceFreeAndIdentical) {
               &reference.value().network->graph());
     ExpectScenariosIdentical(scenario, reference.value(), config.rounds,
                              "task " + std::to_string(i));
+  }
+}
+
+// --- Parallel Prepare ------------------------------------------------------
+//
+// Prepare fans runs out over config.threads pool threads into private
+// stores and merges them in run order; everything observable — the key
+// set, the hit/miss counts, the artifacts, the failure Status — must equal
+// the inline serial loop (threads = 1).
+
+void ExpectGraphsIdentical(const RadioGraph& a, const RadioGraph& b,
+                           const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  EXPECT_EQ(a.rho(), b.rho()) << context;
+  for (int v = 0; v < a.size(); ++v) {
+    EXPECT_EQ(std::memcmp(&a.point(v), &b.point(v), sizeof(Point2D)), 0)
+        << context << " v=" << v;
+    const auto na = a.neighbors(v);
+    const auto nb = b.neighbors(v);
+    EXPECT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+        << context << " v=" << v;
+  }
+}
+
+// Reference store: the plain serial pass — a map that counts a lookup as
+// a hit iff an earlier build (of any run) stored the key.
+class SerialReferenceStore final : public internal::ArtifactStore {
+ public:
+  std::shared_ptr<const void> Get(const std::string& key) const override {
+    const auto it = entries_.find(key);
+    ++(it == entries_.end() ? misses_ : hits_);
+    return it == entries_.end() ? nullptr : it->second;
+  }
+  void Put(const std::string& key,
+           std::shared_ptr<const void> value) override {
+    entries_.emplace(key, std::move(value));
+  }
+  /// Builds runs [0, runs) in order, stopping after the first failure.
+  void Prepare(const SimulationConfig& config, int runs) {
+    for (int run = 0; run < runs; ++run) {
+      if (!BuildScenario(config, run, this).ok()) return;
+    }
+  }
+  std::vector<std::string> Keys() const {
+    std::vector<std::string> keys;
+    for (const auto& entry : entries_) keys.push_back(entry.first);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+  int64_t hits() const { return hits_; }
+  int64_t misses() const { return misses_; }
+
+ private:
+  std::unordered_map<std::string, std::shared_ptr<const void>> entries_;
+  mutable int64_t hits_ = 0;
+  mutable int64_t misses_ = 0;
+};
+
+std::vector<SimulationConfig> ParallelPrepareConfigs() {
+  SimulationConfig multi_value = SmallSynthetic();
+  multi_value.values_per_node = 2;
+  return {SmallSynthetic(), multi_value, SmallPressure()};
+}
+
+constexpr int kParallelRuns = 3;
+
+TEST(ScenarioCacheParallel, KeysAndCountsMatchSerialForAnyThreadCount) {
+  for (const SimulationConfig& base : ParallelPrepareConfigs()) {
+    // A second, workload-only sweep point: its Prepare hits the first
+    // point's deployments and trees, so the counts cover read-through too.
+    SimulationConfig noisy = base;
+    noisy.synthetic.noise_percent = 40.0;
+    noisy.pressure_scale_bits = base.pressure_scale_bits + 1;
+    SerialReferenceStore reference;
+    reference.Prepare(base, kParallelRuns);
+    reference.Prepare(noisy, kParallelRuns);
+    EXPECT_GT(reference.hits(), 0);
+    for (int threads : {1, 2, 4}) {
+      const std::string context = "vpn=" +
+                                  std::to_string(base.values_per_node) +
+                                  " threads=" + std::to_string(threads);
+      SimulationConfig first = base;
+      SimulationConfig second = noisy;
+      first.threads = second.threads = threads;
+      ScenarioCache cache;
+      ASSERT_TRUE(cache.Prepare(first, kParallelRuns).ok()) << context;
+      ASSERT_TRUE(cache.Prepare(second, kParallelRuns).ok()) << context;
+      EXPECT_TRUE(cache.sealed()) << context;
+      EXPECT_EQ(cache.Keys(), reference.Keys()) << context;
+      EXPECT_EQ(cache.hits(), reference.hits()) << context;
+      EXPECT_EQ(cache.misses(), reference.misses()) << context;
+    }
+  }
+}
+
+TEST(ScenarioCacheParallel, ArtifactsBitIdenticalToUncachedBuild) {
+  for (const SimulationConfig& base : ParallelPrepareConfigs()) {
+    for (int threads : {1, 2, 4}) {
+      SimulationConfig config = base;
+      config.threads = threads;
+      ScenarioCache cache;
+      ASSERT_TRUE(cache.Prepare(config, kParallelRuns).ok());
+      const int64_t misses_after_prepare = cache.misses();
+      for (int run = 0; run < kParallelRuns; ++run) {
+        const std::string context =
+            "vpn=" + std::to_string(base.values_per_node) +
+            " threads=" + std::to_string(threads) +
+            " run=" + std::to_string(run);
+        auto cached = cache.Build(config, run);
+        auto uncached = BuildScenario(config, run);
+        ASSERT_TRUE(cached.ok()) << context;
+        ASSERT_TRUE(uncached.ok()) << context;
+        const Network& a = *cached.value().network;
+        const Network& b = *uncached.value().network;
+        ExpectGraphsIdentical(a.graph(), b.graph(), context);
+        EXPECT_EQ(a.tree().depth, b.tree().depth) << context;
+        EXPECT_EQ(a.tree().children, b.tree().children) << context;
+        EXPECT_EQ(a.tree().pre_order, b.tree().pre_order) << context;
+        ExpectScenariosIdentical(cached.value(), uncached.value(),
+                                 config.rounds, context);
+      }
+      EXPECT_EQ(cache.misses(), misses_after_prepare);  // all lookups hit
+    }
+  }
+}
+
+// A synthetic config whose run 0 builds but a later run does not: the
+// radio range is below the jittered-grid fallback's spacing, so a run
+// fails exactly when none of its uniform draws connects. Searched
+// deterministically over seeds; returns the first failing run too.
+std::optional<std::pair<SimulationConfig, int>> FindLateFailure(int runs) {
+  SimulationConfig config;
+  config.num_sensors = 8;
+  config.rounds = 4;
+  for (double rho : {60.0, 50.0, 40.0}) {
+    config.radio_range = rho;
+    for (uint64_t seed = 1; seed <= 64; ++seed) {
+      config.seed = seed;
+      if (!BuildScenario(config, 0).ok()) continue;
+      for (int run = 1; run < runs; ++run) {
+        if (!BuildScenario(config, run).ok()) {
+          return std::make_pair(config, run);
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ScenarioCacheParallel, LateFailureReportsSmallestFailingRun) {
+  constexpr int kRuns = 6;
+  const auto found = FindLateFailure(kRuns);
+  ASSERT_TRUE(found.has_value()) << "no config with a late failing run";
+  const auto& [base, first_failing] = *found;
+  const Status uncached = BuildScenario(base, first_failing).status();
+  SerialReferenceStore reference;
+  reference.Prepare(base, kRuns);
+  for (int threads : {1, 2, 4}) {
+    const std::string context = "first_failing=" +
+                                std::to_string(first_failing) +
+                                " threads=" + std::to_string(threads);
+    SimulationConfig config = base;
+    config.threads = threads;
+    ScenarioCache cache;
+    const Status prepared = cache.Prepare(config, kRuns);
+    ASSERT_FALSE(prepared.ok()) << context;
+    EXPECT_EQ(prepared.code(), uncached.code()) << context;
+    EXPECT_EQ(prepared.message(), uncached.message()) << context;
+    EXPECT_TRUE(cache.sealed()) << context;
+    // Runs up to the failure are merged; nothing after it.
+    EXPECT_EQ(cache.Keys(), reference.Keys()) << context;
+    EXPECT_EQ(cache.hits(), reference.hits()) << context;
+    EXPECT_EQ(cache.misses(), reference.misses()) << context;
   }
 }
 

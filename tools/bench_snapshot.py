@@ -95,7 +95,9 @@ def parse_kv_line(line):
         if "=" not in token:
             continue
         key, value = token.split("=", 1)
-        if _NUMBER_RE.match(value):
+        if value == "null":  # a counter the host did not provide
+            fields[key] = None
+        elif _NUMBER_RE.match(value):
             fields[key] = int(value)
         elif _FLOAT_RE.match(value):
             fields[key] = float(value)
