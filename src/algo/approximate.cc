@@ -135,7 +135,8 @@ void SamplingProtocol::RunRound(Network* net,
     if (!net->is_root(v)) {
       const double u =
           static_cast<double>(
-              Mix(options_.seed ^ (static_cast<uint64_t>(v) << 20) ^
+              Mix(options_.seed ^
+                  (static_cast<uint64_t>(net->external_id(v)) << 20) ^
                   static_cast<uint64_t>(round)) >>
               11) *
           0x1.0p-53;

@@ -94,14 +94,8 @@ struct ValidationAgg {
 /// nest (a refinement convergecast issued while a validation wave's root
 /// row is still being consumed), and subtree-parallel parts write disjoint
 /// vertex rows, so no locking is needed anywhere.
-///
-/// Setting WSNQ_SOA=0 in the environment makes every Prepare* release its
-/// buffers first — restoring the pre-SoA allocate-per-wave behavior for A/B
-/// benchmarking. Results are bit-identical either way.
 class WaveWorkspace {
  public:
-  WaveWorkspace();
-
   /// `n` ValidationAgg rows, reset to empty.
   std::vector<ValidationAgg>& PrepareAgg(size_t n) {
     return PrepareAggRows(n, 1);
@@ -135,8 +129,6 @@ class WaveWorkspace {
   size_t hist_buckets() const { return hist_buckets_; }
 
  private:
-  bool reuse_;  ///< false under WSNQ_SOA=0: release buffers every wave
-
   std::vector<ValidationAgg> agg_;
   std::vector<std::vector<int64_t>> sets_;
   std::vector<std::vector<int64_t>> windows_;

@@ -46,16 +46,18 @@ const char* AlgorithmName(AlgorithmKind kind) {
   return "UNKNOWN";
 }
 
+std::vector<AlgorithmKind> AllAlgorithms() {
+  return {AlgorithmKind::kTag,      AlgorithmKind::kPos,
+          AlgorithmKind::kPosSr,    AlgorithmKind::kHbc,
+          AlgorithmKind::kHbcNtb,   AlgorithmKind::kIq,
+          AlgorithmKind::kLcllH,    AlgorithmKind::kLcllS,
+          AlgorithmKind::kSnapshot, AlgorithmKind::kSwitching,
+          AlgorithmKind::kQdigest,  AlgorithmKind::kGk,
+          AlgorithmKind::kSampling};
+}
+
 StatusOr<AlgorithmKind> ParseAlgorithmName(const char* name) {
-  static constexpr AlgorithmKind kAll[] = {
-      AlgorithmKind::kTag,    AlgorithmKind::kPos,
-      AlgorithmKind::kPosSr,  AlgorithmKind::kHbc,    AlgorithmKind::kHbcNtb,
-      AlgorithmKind::kIq,     AlgorithmKind::kLcllH,
-      AlgorithmKind::kLcllS,  AlgorithmKind::kSnapshot,
-      AlgorithmKind::kSwitching, AlgorithmKind::kQdigest,
-      AlgorithmKind::kGk,     AlgorithmKind::kSampling,
-  };
-  for (AlgorithmKind kind : kAll) {
+  for (AlgorithmKind kind : AllAlgorithms()) {
     if (std::strcmp(name, AlgorithmName(kind)) == 0) return kind;
   }
   return Status::NotFound(std::string("unknown algorithm: ") + name);

@@ -38,6 +38,9 @@ const char* AlgorithmName(AlgorithmKind kind);
 /// Parses a display name; returns NotFound for unknown names.
 StatusOr<AlgorithmKind> ParseAlgorithmName(const char* name);
 
+/// Every registered algorithm, in AlgorithmKind order.
+std::vector<AlgorithmKind> AllAlgorithms();
+
 /// The algorithm set of the paper's figures, in plotting order.
 std::vector<AlgorithmKind> PaperAlgorithms();
 

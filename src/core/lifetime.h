@@ -33,7 +33,7 @@ struct LifetimeOptions {
 /// One node leaving the network.
 struct DeathEvent {
   int64_t round = 0;
-  /// Vertex id in the *original* deployment.
+  /// External (placement-order) id in the *original* deployment.
   int vertex = 0;
   /// True if the battery emptied; false if the node was cut off when the
   /// topology fell apart.

@@ -154,9 +154,11 @@ SimulationResult RunSimulation(const Scenario& scenario,
       result.metrics.Inc("repair_epochs", net->tree_epoch());
     }
     // Per-depth lifetime energy: valid because ResetAccounting above zeroed
-    // the totals for this protocol's replay.
+    // the totals for this protocol's replay. The sums run in placement
+    // order, so their rounding does not depend on the vertex numbering.
     const SpanningTree& tree = net->tree();
-    for (int v = 0; v < net->num_vertices(); ++v) {
+    for (int e = 0; e < net->num_vertices(); ++e) {
+      const int v = net->internal_id(e);
       if (net->is_root(v)) continue;
       result.metrics.Add(
           KeyedMetric("depth_energy_mj",

@@ -16,7 +16,6 @@ FaultPlan::FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
       seed_(seed),
       run_(run),
       num_vertices_(num_vertices),
-      root_(root),
       links_(config.loss_model, config.loss, config.burst_len, seed, run,
              num_vertices),
       churn_(config.crash_nodes, config.crash_round, config.crash_len, seed,
@@ -33,7 +32,6 @@ FaultPlan::FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
       seed_(seed),
       run_(run),
       num_vertices_(num_vertices),
-      root_(root),
       links_(config.loss_model, config.loss, config.burst_len, seed, run,
              num_vertices),
       scripted_(std::move(scripted)),
@@ -88,17 +86,27 @@ void FaultPlan::OnRoundStart(int64_t round, Network* net) {
   draw.run = run_;
   draw.round = round;
   draw.salt = FaultStream::kRepair;
-  SpanningTree repaired = RepairTree(net->graph(), root_, alive,
+  // The plan keys churn by external id; the repair runs over the network's
+  // own numbering.
+  std::vector<char> live(static_cast<size_t>(num_vertices_), 1);
+  for (int v : churn_.victims()) {
+    live[static_cast<size_t>(net->internal_id(v))] =
+        alive[static_cast<size_t>(v)];
+  }
+  SpanningTree repaired = RepairTree(net->graph(), net->root(), live,
                                      config_.repair_selection,
                                      FaultBits(draw));
   const std::vector<int>& old_parent = net->tree().parent;
+  [[maybe_unused]] const auto external = [net](int v) {
+    return v < 0 ? v : net->external_id(v);
+  };
   bool moved = false;
-  for (int v = 0; v < num_vertices_; ++v) {
-    if (repaired.parent[static_cast<size_t>(v)] !=
-        old_parent[static_cast<size_t>(v)]) {
-      WSNQ_TRACE_EVENT("fault", "repair", v,
-                       {"parent", repaired.parent[static_cast<size_t>(v)]},
-                       {"old_parent", old_parent[static_cast<size_t>(v)]});
+  for (int e = 0; e < num_vertices_; ++e) {
+    const size_t v = static_cast<size_t>(net->internal_id(e));
+    if (repaired.parent[v] != old_parent[v]) {
+      WSNQ_TRACE_EVENT("fault", "repair", e,
+                       {"parent", external(repaired.parent[v])},
+                       {"old_parent", external(old_parent[v])});
       moved = true;
     }
   }

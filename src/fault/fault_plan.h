@@ -51,7 +51,9 @@ struct FaultConfig {
 /// One run's fault injection, bound to a Network as its transport policy.
 /// Owns the logical-tick clock the link chains and ARQ timeouts advance
 /// on; OnReset rewinds everything so the compared protocols of one run
-/// replay the identical fault sequence.
+/// replay the identical fault sequence. Like every TransportPolicy it works
+/// in external vertex ids (Network::external_id): `root`, the crash
+/// victims and every key it draws name vertices in placement order.
 class FaultPlan : public TransportPolicy {
  public:
   FaultPlan(const FaultConfig& config, uint64_t seed, int64_t run,
@@ -90,7 +92,6 @@ class FaultPlan : public TransportPolicy {
   uint64_t seed_;
   int64_t run_;
   int num_vertices_;
-  int root_;
   LinkLossProcess links_;
   /// Non-null in scripted (model-checking) mode; then frame_oracle_ points
   /// here instead of at links_.

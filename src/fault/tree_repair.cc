@@ -42,18 +42,17 @@ SpanningTree RepairTree(const RadioGraph& graph, int root,
 
   tree.parent.assign(static_cast<size_t>(n), -1);
   // Level by level so kDegreeBalanced sees up-to-date child counts; within
-  // a level, ascending vertex id — the same deterministic visit order as
-  // BuildRoutingTree.
+  // a level, ascending external id — the same deterministic visit order as
+  // BuildRoutingTree over the graph in placement order, whatever order the
+  // simulator numbers vertices in.
   std::vector<int> order;
   order.reserve(static_cast<size_t>(n));
-  for (int v = 0; v < n; ++v) {
+  for (int e = 0; e < n; ++e) {
+    const int v = graph.internal_id(e);
     if (depth[static_cast<size_t>(v)] >= 0) order.push_back(v);
   }
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const int da = depth[static_cast<size_t>(a)];
-    const int db = depth[static_cast<size_t>(b)];
-    if (da != db) return da < db;
-    return a < b;
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return depth[static_cast<size_t>(a)] < depth[static_cast<size_t>(b)];
   });
   std::vector<int> child_count(static_cast<size_t>(n), 0);
 
@@ -93,7 +92,7 @@ SpanningTree RepairTree(const RadioGraph& graph, int root,
         // Counter-based stand-in for BuildRoutingTree's sequential draw.
         FaultKey draw;
         draw.seed = key;
-        draw.src = v;
+        draw.src = graph.external_id(v);
         draw.salt = FaultStream::kRepair;
         best = candidates[static_cast<size_t>(
             FaultBits(draw) % candidates.size())];
@@ -110,14 +109,12 @@ SpanningTree RepairTree(const RadioGraph& graph, int root,
   // Children lists and traversal orders span attached vertices only, so
   // protocol convergecasts/broadcasts skip the dead by construction.
   tree.depth.assign(static_cast<size_t>(n), 0);
-  tree.children.assign(static_cast<size_t>(n), {});
   for (int v : order) {
     tree.depth[static_cast<size_t>(v)] = depth[static_cast<size_t>(v)];
-    if (v == root) continue;
-    tree.children[static_cast<size_t>(tree.parent[static_cast<size_t>(v)])]
-        .push_back(v);
   }
-  for (auto& kids : tree.children) std::sort(kids.begin(), kids.end());
+  // `order` is ascending external id within a level and every child list
+  // holds one level, so the lists come out in ascending external id.
+  tree.children = ChildLists(tree.parent, order);
 
   tree.pre_order.reserve(order.size());
   tree.post_order.reserve(order.size());

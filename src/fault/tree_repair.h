@@ -22,7 +22,7 @@ namespace wsnq {
 /// `alive[v] != 0`, rooted at `root` (which must be alive). `selection`
 /// picks among min-hop live parent candidates exactly as BuildRoutingTree
 /// does; for ParentSelection::kRandom the choice is a counter-based hash of
-/// (key, vertex) instead of a sequential stream. Detached vertices get
+/// (key, external id) instead of a sequential stream. Detached vertices get
 /// parent -1, depth 0, no children, and are excluded from pre/post order.
 SpanningTree RepairTree(const RadioGraph& graph, int root,
                         const std::vector<char>& alive,

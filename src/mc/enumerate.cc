@@ -115,8 +115,9 @@ StatusOr<EnumerationResult> RunEnumeration(const McOptions& options) {
   // Validate the scenario once up front; tasks rebuild deterministically.
   StatusOr<McContext> probe = BuildMcContext(options);
   if (!probe.ok()) return probe.status();
-  const int num_vertices = probe.value().scenario.network->num_vertices();
-  const int root = probe.value().scenario.network->root();
+  const Network& probe_net = *probe.value().scenario.network;
+  const int num_vertices = probe_net.num_vertices();
+  const int root = probe_net.external_id(probe_net.root());
 
   const std::vector<AlgorithmKind> algorithms =
       options.algorithms.empty() ? PaperAlgorithms() : options.algorithms;

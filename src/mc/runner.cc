@@ -34,13 +34,17 @@ bool IsAlive(const McCrashSpec& crash, int v, int64_t round) {
 /// detached; every attached vertex is alive, hangs off a live attached
 /// radio neighbor exactly one level up; children lists mirror the parent
 /// array; traversal orders cover exactly the attached vertices. Returns an
-/// empty string on success, else the first defect found.
+/// empty string on success, else the first defect found. Vertices are
+/// checked, and named in the defect, by external id.
 std::string CheckTreeValidity(const Network& net,
                               const std::vector<char>& alive) {
   const SpanningTree& tree = net.tree();
   const RadioGraph& graph = net.graph();
   const int n = net.num_vertices();
   const int root = net.root();
+  const auto name = [&net](int v) {
+    return std::to_string(v < 0 ? v : net.external_id(v));
+  };
   if (tree.parent[static_cast<size_t>(root)] != -1) {
     return "root has a parent";
   }
@@ -48,29 +52,27 @@ std::string CheckTreeValidity(const Network& net,
     return "root depth != 0";
   }
   int attached = 1;  // the root
-  for (int v = 0; v < n; ++v) {
+  for (int e = 0; e < n; ++e) {
+    const int v = net.internal_id(e);
     if (v == root) continue;
     const int p = tree.parent[static_cast<size_t>(v)];
     if (alive[static_cast<size_t>(v)] == 0) {
       if (p != -1) {
-        return "dead vertex " + std::to_string(v) + " still has parent " +
-               std::to_string(p);
+        return "dead vertex " + name(v) + " still has parent " + name(p);
       }
       continue;
     }
     if (p < 0) continue;  // detached live vertex: legal when cut off
     ++attached;
     if (alive[static_cast<size_t>(p)] == 0) {
-      return "vertex " + std::to_string(v) + " parented to dead " +
-             std::to_string(p);
+      return "vertex " + name(v) + " parented to dead " + name(p);
     }
     if (p != root && tree.parent[static_cast<size_t>(p)] < 0) {
-      return "vertex " + std::to_string(v) + " parented to detached " +
-             std::to_string(p);
+      return "vertex " + name(v) + " parented to detached " + name(p);
     }
     if (tree.depth[static_cast<size_t>(v)] !=
         tree.depth[static_cast<size_t>(p)] + 1) {
-      return "vertex " + std::to_string(v) + " depth " +
+      return "vertex " + name(v) + " depth " +
              std::to_string(tree.depth[static_cast<size_t>(v)]) +
              " != parent depth + 1";
     }
@@ -82,8 +84,7 @@ std::string CheckTreeValidity(const Network& net,
       }
     }
     if (!adjacent) {
-      return "vertex " + std::to_string(v) + " parented to non-neighbor " +
-             std::to_string(p);
+      return "vertex " + name(v) + " parented to non-neighbor " + name(p);
     }
     bool listed = false;
     for (int child : tree.children[static_cast<size_t>(p)]) {
@@ -93,8 +94,7 @@ std::string CheckTreeValidity(const Network& net,
       }
     }
     if (!listed) {
-      return "vertex " + std::to_string(v) + " missing from children of " +
-             std::to_string(p);
+      return "vertex " + name(v) + " missing from children of " + name(p);
     }
   }
   if (static_cast<int>(tree.pre_order.size()) != attached ||
@@ -160,8 +160,8 @@ ScheduleResult RunSchedule(McContext* context, const McOptions& options,
   auto scripted = std::make_unique<ScriptedFaultOracle>(schedule.drops);
   ScriptedFaultOracle* oracle = scripted.get();
   net->set_transport_policy(std::make_unique<FaultPlan>(
-      fault, options.seed, /*run=*/0, net->num_vertices(), net->root(),
-      std::move(scripted), victims));
+      fault, options.seed, /*run=*/0, net->num_vertices(),
+      net->external_id(net->root()), std::move(scripted), victims));
 
   const Scenario& scenario = context->scenario;
   auto protocol =
@@ -190,7 +190,7 @@ ScheduleResult RunSchedule(McContext* context, const McOptions& options,
 
     for (int v = 0; v < net->num_vertices(); ++v) {
       alive[static_cast<size_t>(v)] =
-          IsAlive(schedule.crash, v, round) ? 1 : 0;
+          IsAlive(schedule.crash, net->external_id(v), round) ? 1 : 0;
     }
     // epoch-reinit: every liveness transition moves at least the victim's
     // parent (crash detaches it, recovery re-attaches it), so repair

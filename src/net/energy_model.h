@@ -30,11 +30,18 @@ struct EnergyModel {
   /// Initial per-node energy supply [mJ] (§5.1.4: 30 mJ).
   double initial_energy_mj = 30.0;
 
+  /// Energy to transmit one bit over range `rho` meters [mJ/bit]. The
+  /// range is fixed per network, so callers on a hot path compute this once
+  /// (net/network.h) and multiply; SendCost does the same multiplication,
+  /// so both give the identical double.
+  double SendCostPerBit(double rho) const {
+    return alpha_tx_mj_per_bit +
+           beta_mj_per_bit_mp * std::pow(rho, path_loss_exponent);
+  }
+
   /// Energy to transmit `bits` over range `rho` meters [mJ].
   double SendCost(int64_t bits, double rho) const {
-    return static_cast<double>(bits) *
-           (alpha_tx_mj_per_bit +
-            beta_mj_per_bit_mp * std::pow(rho, path_loss_exponent));
+    return static_cast<double>(bits) * SendCostPerBit(rho);
   }
 
   /// Energy to receive `bits` [mJ].

@@ -34,6 +34,7 @@ Network::Network(std::shared_ptr<const RadioGraph> graph, SpanningTree tree,
       energy_(energy),
       packetizer_(packetizer) {
   WSNQ_CHECK(graph_ != nullptr);
+  send_cost_per_bit_ = energy_.SendCostPerBit(graph_->rho());
   WSNQ_CHECK_EQ(graph_->size(), tree_.size());
   round_energy_.assign(static_cast<size_t>(graph_->size()), 0.0);
   total_energy_.assign(static_cast<size_t>(graph_->size()), 0.0);
@@ -73,11 +74,12 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
 
   if (policy_ == nullptr) {
     // The paper's reliable medium: one frame, always delivered.
-    Debit(v, energy_.SendCost(msg.total_bits, graph_->rho()));
+    Debit(v, SendCost(msg.total_bits));
     round_packets_ += msg.packets;
     total_packets_ += msg.packets;
-    WSNQ_TRACE_EVENT("net", "uplink", v, {"bits", payload_bits},
-                     {"packets", msg.packets}, {"lost", 0});
+    WSNQ_TRACE_EVENT("net", "uplink", external_id(v),
+                     {"bits", payload_bits}, {"packets", msg.packets},
+                     {"lost", 0});
     if (observer_ != nullptr) {
       SendObserver::SendInfo info;
       info.kind = SendObserver::SendKind::kUplink;
@@ -94,9 +96,11 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
   // A crashed node runs no protocol code this round, and a detached one
   // (unreachable after churn without repair to save it) has nobody to talk
   // to: neither transmits, so neither pays.
-  if (policy_->IsDown(v) || parent < 0) return false;
+  const int v_ext = external_id(v);
+  if (policy_->IsDown(v_ext) || parent < 0) return false;
 
-  const TransportPolicy::UplinkOutcome o = policy_->Uplink(v, parent);
+  const int parent_ext = external_id(parent);
+  const TransportPolicy::UplinkOutcome o = policy_->Uplink(v_ext, parent_ext);
   WSNQ_DCHECK_GE(o.data_frames, 1);
   WSNQ_DCHECK_LE(o.data_frames_received, o.data_frames);
   // No ack exists for a data frame the parent never received.
@@ -111,31 +115,31 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
   // frame it heard plus every ack it sent. A crashed parent hears and
   // sends nothing, so its counts are zero and it is debited nothing.
   Debit(v, static_cast<double>(o.data_frames) *
-                   energy_.SendCost(msg.total_bits, graph_->rho()) +
+                   SendCost(msg.total_bits) +
                static_cast<double>(o.ack_frames_received) *
                    energy_.RecvCost(ack.total_bits));
   Debit(parent, static_cast<double>(o.data_frames_received) *
                         energy_.RecvCost(msg.total_bits) +
                     static_cast<double>(o.ack_frames) *
-                        energy_.SendCost(ack.total_bits, graph_->rho()));
+                        SendCost(ack.total_bits));
   const int64_t air_packets =
       static_cast<int64_t>(o.data_frames) * msg.packets +
       static_cast<int64_t>(o.ack_frames) * ack.packets;
   round_packets_ += air_packets;
   total_packets_ += air_packets;
 
-  WSNQ_TRACE_EVENT("net", "uplink", v, {"bits", payload_bits},
+  WSNQ_TRACE_EVENT("net", "uplink", v_ext, {"bits", payload_bits},
                    {"packets", msg.packets}, {"lost", o.delivered ? 0 : 1});
   const int dropped = o.data_frames - o.data_frames_received;
   if (dropped > 0) {
-    WSNQ_TRACE_EVENT("fault", "drop", v, {"frames", dropped});
+    WSNQ_TRACE_EVENT("fault", "drop", v_ext, {"frames", dropped});
   }
   if (o.data_frames > 1) {
-    WSNQ_TRACE_EVENT("fault", "retx", v, {"count", o.data_frames - 1},
+    WSNQ_TRACE_EVENT("fault", "retx", v_ext, {"count", o.data_frames - 1},
                      {"ticks", o.ticks});
   }
   if (o.ack_frames > 0) {
-    WSNQ_TRACE_EVENT("fault", "ack", parent, {"count", o.ack_frames},
+    WSNQ_TRACE_EVENT("fault", "ack", parent_ext, {"count", o.ack_frames},
                      {"heard", o.ack_frames_received});
   }
   if (observer_ != nullptr) {
@@ -157,18 +161,18 @@ bool Network::SendToParent(int v, int64_t payload_bits) {
 void Network::BroadcastToChildren(int v, int64_t payload_bits) {
   const auto& kids = tree_.children[static_cast<size_t>(v)];
   if (kids.empty()) return;
-  if (policy_ != nullptr && policy_->IsDown(v)) return;
+  if (policy_ != nullptr && policy_->IsDown(external_id(v))) return;
   const PacketizedMessage msg = packetizer_.Packetize(payload_bits);
-  Debit(v, energy_.SendCost(msg.total_bits, graph_->rho()));
+  Debit(v, SendCost(msg.total_bits));
   for (int child : kids) {
     // Crashed children don't hear (or pay for) the beacon.
-    if (policy_ != nullptr && policy_->IsDown(child)) continue;
+    if (policy_ != nullptr && policy_->IsDown(external_id(child))) continue;
     Debit(child, energy_.RecvCost(msg.total_bits));
   }
   round_packets_ += msg.packets;
   total_packets_ += msg.packets;
-  WSNQ_TRACE_EVENT("net", "broadcast", v, {"bits", payload_bits},
-                   {"packets", msg.packets},
+  WSNQ_TRACE_EVENT("net", "broadcast", external_id(v),
+                   {"bits", payload_bits}, {"packets", msg.packets},
                    {"children", static_cast<int64_t>(kids.size())});
   if (observer_ != nullptr) {
     SendObserver::SendInfo info;
@@ -191,7 +195,7 @@ void Network::FloodFromRoot(int64_t payload_bits) {
     // amounts in the same vertex order as the classic loop below, hence
     // bit-identical energy and packet accounting.
     const PacketizedMessage msg = packetizer_.Packetize(payload_bits);
-    const double send_cost = energy_.SendCost(msg.total_bits, graph_->rho());
+    const double send_cost = SendCost(msg.total_bits);
     const double recv_cost = energy_.RecvCost(msg.total_bits);
     for (int v : tree_.pre_order) {
       const auto& kids = tree_.children[static_cast<size_t>(v)];

@@ -14,6 +14,13 @@
 // message header again. Vertex 0 convention: the root is an ordinary vertex
 // id chosen at construction; use is_root()/root().
 //
+// Vertex ids: every index the Network takes or returns is an *internal* id
+// of its graph. Scenarios (core/scenario.h) number vertices in routing-tree
+// post order, so a convergecast sweeps the per-vertex arrays in address
+// order. external_id(v) is the vertex's id in placement order; it is the id
+// that leaves the simulator (trace events, fault keys, topology files) and
+// the id a TransportPolicy is called with.
+//
 // Faults are pluggable: a TransportPolicy (implemented by fault/FaultPlan)
 // decides delivery, retransmission counts, and node liveness per uplink;
 // without one installed the network is the paper's reliable medium.
@@ -55,7 +62,7 @@ class SendObserver {
   /// reliable medium data_frames == 1 and ack_frames == 0.
   struct SendInfo {
     SendKind kind = SendKind::kUplink;
-    int sender = -1;
+    int sender = -1;  ///< internal id
     int64_t payload_bits = 0;
     int64_t wire_bits = 0;  ///< on-air bits of one data frame
     int64_t packets = 0;    ///< fragments of one data frame
@@ -73,7 +80,9 @@ class SendObserver {
 /// Per-uplink fault/reliability decisions, consulted by Network for every
 /// SendToParent. Lives in net/ for the same layering reason as
 /// SendObserver: the implementation (fault/FaultPlan — loss models, churn,
-/// ARQ, tree repair) is in src/fault/, which links against net.
+/// ARQ, tree repair) is in src/fault/, which links against net. Every
+/// vertex id passed to a policy is an external id (Network::external_id),
+/// so fault draws do not depend on how the simulator numbers vertices.
 class TransportPolicy {
  public:
   /// What one uplink exchange did, for energy and packet accounting. The
@@ -142,6 +151,11 @@ class Network {
   const RadioGraph& graph() const { return *graph_; }
   const Packetizer& packetizer() const { return packetizer_; }
   const EnergyModel& energy_model() const { return energy_; }
+
+  /// Placement-order id of vertex `v` (see the header comment).
+  int external_id(int v) const { return graph_->external_id(v); }
+  /// The vertex whose placement-order id is `e`.
+  int internal_id(int e) const { return graph_->internal_id(e); }
 
   /// Replaces the routing tree (fault/tree_repair.cc after node churn) and
   /// bumps the tree epoch. Stateful protocols compare the epoch against
@@ -249,11 +263,18 @@ class Network {
 
   void ClearRoundCounters();
 
+  /// Transmit energy of `bits` over this network's radio range [mJ].
+  double SendCost(int64_t bits) const {
+    return static_cast<double>(bits) * send_cost_per_bit_;
+  }
+
   /// Immutable; possibly aliased by other Networks (never null).
   std::shared_ptr<const RadioGraph> graph_;
   SpanningTree tree_;
   EnergyModel energy_;
   Packetizer packetizer_;
+  /// energy_.SendCostPerBit(graph_->rho()), computed once.
+  double send_cost_per_bit_ = 0.0;
 
   std::unique_ptr<TransportPolicy> policy_;
   SpanningTree pristine_tree_;  ///< snapshot for ResetAccounting (policy only)

@@ -160,6 +160,45 @@ RadioGraph::RadioGraph(std::vector<Point2D> points, double rho)
   }
 }
 
+RadioGraph RadioGraph::Permuted(std::span<const int> order) const {
+  const int n = size();
+  WSNQ_CHECK_EQ(static_cast<int>(order.size()), n);
+  RadioGraph out(rho_);
+  // new_id[v]: the new id of this graph's vertex v.
+  std::vector<int> new_id(static_cast<size_t>(n), -1);
+  out.points_.resize(static_cast<size_t>(n));
+  out.external_.resize(static_cast<size_t>(n));
+  out.internal_.resize(static_cast<size_t>(n));
+  out.offsets_.resize(static_cast<size_t>(n) + 1);
+  out.offsets_[0] = 0;
+  for (int i = 0; i < n; ++i) {
+    const int old = order[static_cast<size_t>(i)];
+    WSNQ_CHECK_GE(old, 0);
+    WSNQ_CHECK_LT(old, n);
+    WSNQ_CHECK_EQ(new_id[static_cast<size_t>(old)], -1);
+    new_id[static_cast<size_t>(old)] = i;
+    const size_t at = static_cast<size_t>(i);
+    out.points_[at] = points_[static_cast<size_t>(old)];
+    out.external_[at] = external_id(old);
+    out.internal_[static_cast<size_t>(external_id(old))] = i;
+    out.offsets_[at + 1] = out.offsets_[at] +
+                           (offsets_[static_cast<size_t>(old) + 1] -
+                            offsets_[static_cast<size_t>(old)]);
+  }
+  // Read the neighbour array front to back and scatter each slice to its
+  // new place: sequential reads, and a slice's writes stay contiguous.
+  out.neighbors_.resize(neighbors_.size());
+  for (int old = 0; old < n; ++old) {
+    int64_t slot =
+        out.offsets_[static_cast<size_t>(new_id[static_cast<size_t>(old)])];
+    for (int u : neighbors(old)) {
+      out.neighbors_[static_cast<size_t>(slot++)] =
+          new_id[static_cast<size_t>(u)];
+    }
+  }
+  return out;
+}
+
 bool RadioGraph::IsConnected() const {
   const int n = size();
   if (n <= 1) return true;

@@ -36,14 +36,15 @@ TdmaSchedule::TdmaSchedule(const RadioGraph& graph, const SpanningTree& tree)
   const int n = graph.size();
   const auto two_hop = TwoHopNeighbors(graph);
 
-  // Greedy coloring, highest two-hop degree first.
+  // Greedy coloring, highest two-hop degree first; ties in external id
+  // order, so the slots do not depend on the vertex numbering.
   std::vector<int> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     const size_t da = two_hop[static_cast<size_t>(a)].size();
     const size_t db = two_hop[static_cast<size_t>(b)].size();
     if (da != db) return da > db;
-    return a < b;
+    return graph.external_id(a) < graph.external_id(b);
   });
 
   slots_.assign(static_cast<size_t>(n), -1);

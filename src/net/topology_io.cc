@@ -13,25 +13,29 @@ Status WriteTopologyDot(const Network& network, const std::string& path) {
   }
   const SpanningTree& tree = network.tree();
   const RadioGraph& graph = network.graph();
+  const auto id = [&network](int v) { return network.external_id(v); };
   out << "digraph wsnq {\n";
-  out << "  // root = " << network.root() << "\n";
-  for (int v = 0; v < network.num_vertices(); ++v) {
+  out << "  // root = " << id(network.root()) << "\n";
+  for (int e = 0; e < network.num_vertices(); ++e) {
+    const int v = network.internal_id(e);
     const Point2D& p = graph.point(v);
-    out << "  n" << v << " [pos=\"" << p.x << ',' << p.y << "!\""
+    out << "  n" << e << " [pos=\"" << p.x << ',' << p.y << "!\""
         << (network.is_root(v) ? ", shape=doublecircle" : "") << "];\n";
   }
-  for (int v = 0; v < network.num_vertices(); ++v) {
+  for (int e = 0; e < network.num_vertices(); ++e) {
+    const int v = network.internal_id(e);
     const int parent = tree.parent[static_cast<size_t>(v)];
-    if (parent >= 0) out << "  n" << v << " -> n" << parent << ";\n";
+    if (parent >= 0) out << "  n" << e << " -> n" << id(parent) << ";\n";
   }
-  for (int v = 0; v < network.num_vertices(); ++v) {
+  for (int e = 0; e < network.num_vertices(); ++e) {
+    const int v = network.internal_id(e);
     for (int u : graph.neighbors(v)) {
-      if (u <= v) continue;  // one direction per physical edge
+      if (id(u) <= e) continue;  // one direction per physical edge
       if (tree.parent[static_cast<size_t>(v)] == u ||
           tree.parent[static_cast<size_t>(u)] == v) {
         continue;  // already drawn as a tree edge
       }
-      out << "  n" << v << " -> n" << u
+      out << "  n" << e << " -> n" << id(u)
           << " [style=dashed, dir=none, color=gray];\n";
     }
   }
@@ -49,10 +53,11 @@ Status WriteTreeCsv(const Network& network, const std::string& path) {
   out << "child,parent,distance_m,depth\n";
   const SpanningTree& tree = network.tree();
   const RadioGraph& graph = network.graph();
-  for (int v = 0; v < network.num_vertices(); ++v) {
+  for (int e = 0; e < network.num_vertices(); ++e) {
+    const int v = network.internal_id(e);
     const int parent = tree.parent[static_cast<size_t>(v)];
     if (parent < 0) continue;
-    out << v << ',' << parent << ','
+    out << e << ',' << network.external_id(parent) << ','
         << Distance(graph.point(v), graph.point(parent)) << ','
         << tree.depth[static_cast<size_t>(v)] << "\n";
   }

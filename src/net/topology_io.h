@@ -1,5 +1,7 @@
 // Topology export: Graphviz DOT for visual inspection of the routing tree
-// and a CSV edge list for external analysis.
+// and a CSV edge list for external analysis. Both name vertices by external
+// id (Network::external_id) and list them in that order, so a file does not
+// depend on how the simulator numbers vertices internally.
 
 #ifndef WSNQ_NET_TOPOLOGY_IO_H_
 #define WSNQ_NET_TOPOLOGY_IO_H_

@@ -105,13 +105,17 @@ TEST(ScenarioTest, PressureKeepsPositionsAcrossRuns) {
   auto b = BuildScenario(config, 1);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok());
-  // Same station positions (§5.1: only the root changes)...
-  const auto& pa = a.value().network->graph().points();
-  const auto& pb = b.value().network->graph().points();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_DOUBLE_EQ(pa[i].x, pb[i].x);
-    EXPECT_DOUBLE_EQ(pa[i].y, pb[i].y);
+  // Same station positions (§5.1: only the root changes). Each run numbers
+  // its vertices in its own tree order, so stations are matched by
+  // external id.
+  const RadioGraph& ga = a.value().network->graph();
+  const RadioGraph& gb = b.value().network->graph();
+  ASSERT_EQ(ga.size(), gb.size());
+  for (int e = 0; e < ga.size(); ++e) {
+    EXPECT_DOUBLE_EQ(ga.point(ga.internal_id(e)).x,
+                     gb.point(gb.internal_id(e)).x);
+    EXPECT_DOUBLE_EQ(ga.point(ga.internal_id(e)).y,
+                     gb.point(gb.internal_id(e)).y);
   }
 }
 
