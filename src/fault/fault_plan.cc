@@ -97,7 +97,7 @@ void FaultPlan::OnRoundStart(int64_t round, Network* net) {
                                      config_.repair_selection,
                                      FaultBits(draw));
   const std::vector<int>& old_parent = net->tree().parent;
-  [[maybe_unused]] const auto external = [net](int v) {
+  const auto external = [net](int v) {
     return v < 0 ? v : net->external_id(v);
   };
   bool moved = false;

@@ -263,6 +263,12 @@ class Network {
 
   void ClearRoundCounters();
 
+  /// One broadcast from `v` to its children with the message already
+  /// packetized and priced: the body shared by BroadcastToChildren and by
+  /// every vertex of FloodFromRoot, which prices the message once per flood.
+  void Broadcast(int v, int64_t payload_bits, const PacketizedMessage& msg,
+                 double send_mj, double recv_mj);
+
   /// Transmit energy of `bits` over this network's radio range [mJ].
   double SendCost(int64_t bits) const {
     return static_cast<double>(bits) * send_cost_per_bit_;

@@ -2,7 +2,7 @@
 // "Allocation accounting").
 //
 // When the tree is configured with -DWSNQ_PERF_ALLOC=ON (CMake option
-// WSNQ_PERF_ALLOC, mirroring WSNQ_TRACING's compile-out discipline), this
+// WSNQ_PERF_ALLOC; the hooks are compiled out otherwise), this
 // translation unit replaces the global operator new/delete with thin
 // wrappers that bump two thread-local counters — allocations and bytes
 // requested — before delegating to malloc/free. perf::StageCollector

@@ -205,14 +205,6 @@ Status TraceSink::WriteFile() const {
   return Status::Ok();
 }
 
-bool CompiledIn() {
-#if defined(WSNQ_TRACING) && WSNQ_TRACING
-  return true;
-#else
-  return false;
-#endif
-}
-
 TraceSink* GlobalSink() { return g_sink.get(); }
 
 void InstallGlobalSink(const std::string& path) {

@@ -9,10 +9,9 @@
 //    run-index order, so serialized traces are bit-identical for every
 //    --threads value (the same ordered-fold discipline as the experiment
 //    aggregates; pinned by tests/trace_determinism_test.cc). Emission
-//    macros compile away entirely unless the tree is built with
-//    -DWSNQ_TRACING=1 (CMake option WSNQ_TRACING / the `tracing` preset);
-//    the buffer/sink classes below always exist so the plumbing in
-//    core/experiment.cc needs no #ifdefs.
+//    macros are always compiled in and gated at run time: each one checks
+//    whether the thread has an active buffer (Current(), set by RunScope)
+//    and does nothing more when it has none.
 //
 //  * prof:: — wall-clock RAII stage timers and the thread pool's per-worker
 //    spans. Non-deterministic by nature, so output goes to stderr or an
@@ -172,10 +171,6 @@ class TraceSink {
   std::vector<Event> events_ WSNQ_GUARDED_BY(FoldPhase());
 };
 
-/// True when the tree was compiled with -DWSNQ_TRACING=1 (i.e. the
-/// WSNQ_TRACE_* macros below actually emit).
-bool CompiledIn();
-
 /// Process-wide sink configured by --trace=PATH; nullptr when tracing was
 /// not requested. Experiment code folds run buffers into it.
 TraceSink* GlobalSink();
@@ -301,14 +296,13 @@ Status WriteJson(const std::string& path);
 
 // --- Emission macros ------------------------------------------------------
 //
-// Compiled out entirely (including argument evaluation) unless the tree is
-// built with WSNQ_TRACING. Args are brace-initialized {key, value} pairs:
+// Each macro emits only while the thread has an active buffer (Current());
+// with none installed, the event's arguments are not evaluated (a span's
+// are). Args are brace-initialized {key, value} pairs:
 //
 //   WSNQ_TRACE_EVENT("validation", "window", /*node=*/-1,
 //                    {"xi_l", xi_l_}, {"xi_r", xi_r_});
 //   WSNQ_TRACE_SCOPE("refinement", "drill", -1);
-
-#if defined(WSNQ_TRACING) && WSNQ_TRACING
 
 #define WSNQ_TRACE_CONCAT_INNER_(a, b) a##b
 #define WSNQ_TRACE_CONCAT_(a, b) WSNQ_TRACE_CONCAT_INNER_(a, b)
@@ -341,25 +335,5 @@ Status WriteJson(const std::string& path);
     if (::wsnq::trace::TraceBuffer* wsnq_tb_ = ::wsnq::trace::Current()) \
       wsnq_tb_->set_proto(proto);                                       \
   } while (0)
-
-#else  // !WSNQ_TRACING
-
-#define WSNQ_TRACE_EVENT(...) \
-  do {                        \
-  } while (0)
-#define WSNQ_TRACE_COUNTER(...) \
-  do {                          \
-  } while (0)
-#define WSNQ_TRACE_SCOPE(...) \
-  do {                        \
-  } while (0)
-#define WSNQ_TRACE_SET_ROUND(...) \
-  do {                            \
-  } while (0)
-#define WSNQ_TRACE_SET_PROTO(...) \
-  do {                            \
-  } while (0)
-
-#endif  // WSNQ_TRACING
 
 #endif  // WSNQ_UTIL_TRACE_H_

@@ -1,12 +1,16 @@
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.h"
+#include "fault/scripted_oracle.h"
 #include "net/energy_model.h"
 #include "net/network.h"
 #include "net/packetizer.h"
@@ -15,6 +19,7 @@
 #include "net/spanning_tree.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace wsnq {
 namespace {
@@ -626,6 +631,165 @@ TEST(NetworkTest, MaxRoundEnergyExcludesRoot) {
   net.BroadcastToChildren(1, 5000);  // root 1 transmits a lot
   const double max_sensor = net.MaxRoundEnergyOverSensors();
   EXPECT_LT(max_sensor, net.round_energy(1));
+}
+
+// --- One flood path ---------------------------------------------------------
+
+/// Records every SendObserver callback in order.
+class RecordingObserver : public SendObserver {
+ public:
+  void OnSend(const SendInfo& info) override { sends.push_back(info); }
+  std::vector<SendInfo> sends;
+};
+
+enum class FloodSetup { kBare, kObserver, kTraceBuffer, kCrashedInterior };
+
+/// Everything one dissemination leaves behind, for exact comparison.
+struct Dissemination {
+  std::vector<uint64_t> energy_bits;  ///< round_energy(v), as bit patterns
+  int64_t packets = 0;
+  std::vector<SendObserver::SendInfo> sends;
+  std::vector<trace::Event> events;
+  int crashed = -1;  ///< internal id of the crashed vertex, if any
+};
+
+/// The first non-root vertex in pre order that has a grandchild: crashing
+/// it silences a broadcast and starves a whole subtree.
+int InteriorVertex(const SpanningTree& tree) {
+  for (int v : tree.pre_order) {
+    if (v == tree.root) continue;
+    for (int child : tree.children[static_cast<size_t>(v)]) {
+      if (!tree.children[static_cast<size_t>(child)].empty()) return v;
+    }
+  }
+  return -1;
+}
+
+/// One round that disseminates `bits` from the root over the relabelled
+/// 150-vertex deployment, either as FloodFromRoot or as the equivalent
+/// loop of BroadcastToChildren over the tree's pre order.
+Dissemination Disseminate(FloodSetup setup, bool flood, int64_t bits) {
+  const Relabelled r = MakeRelabelled(ParentSelection::kNearest);
+  Network net(r.topology.graph, r.topology.tree, EnergyModel{}, Packetizer{});
+  Dissemination out;
+  RecordingObserver observer;
+  if (setup == FloodSetup::kObserver) net.set_send_observer(&observer);
+  if (setup == FloodSetup::kCrashedInterior) {
+    out.crashed = InteriorVertex(net.tree());
+    WSNQ_CHECK_GE(out.crashed, 0);
+    FaultConfig config;
+    config.crash_round = 0;
+    config.crash_len = 0;  // never recovers
+    config.repair = false;  // keep the tree, so the crash silences a subtree
+    net.set_transport_policy(std::make_unique<FaultPlan>(
+        config, /*seed=*/7, /*run=*/0, net.num_vertices(),
+        net.external_id(net.root()),
+        std::make_unique<ScriptedFaultOracle>(std::vector<int64_t>{}),
+        std::vector<int>{net.external_id(out.crashed)}));
+  }
+  trace::TraceBuffer buffer(0);
+  {
+    trace::RunScope scope(setup == FloodSetup::kTraceBuffer ? &buffer
+                                                            : nullptr);
+    net.BeginRound();
+    if (flood) {
+      net.FloodFromRoot(bits);
+    } else {
+      for (int v : net.tree().pre_order) net.BroadcastToChildren(v, bits);
+    }
+  }
+  for (int v = 0; v < net.num_vertices(); ++v) {
+    out.energy_bits.push_back(std::bit_cast<uint64_t>(net.round_energy(v)));
+  }
+  out.packets = net.round_packets();
+  out.sends = observer.sends;
+  out.events = buffer.events();
+  return out;
+}
+
+void ExpectSameSends(const std::vector<SendObserver::SendInfo>& got,
+                     const std::vector<SendObserver::SendInfo>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "send " << i);
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_EQ(got[i].sender, want[i].sender);
+    EXPECT_EQ(got[i].payload_bits, want[i].payload_bits);
+    EXPECT_EQ(got[i].wire_bits, want[i].wire_bits);
+    EXPECT_EQ(got[i].packets, want[i].packets);
+    EXPECT_EQ(got[i].delivered, want[i].delivered);
+    EXPECT_EQ(got[i].data_frames, want[i].data_frames);
+    EXPECT_EQ(got[i].ack_frames, want[i].ack_frames);
+    EXPECT_EQ(got[i].ticks, want[i].ticks);
+  }
+}
+
+/// Same events in the same order; ticks are compared as offsets from the
+/// first event, since the flood's span shifts every tick by one.
+void ExpectSameEvents(const std::vector<trace::Event>& got,
+                      const std::vector<trace::Event>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "event " << i);
+    EXPECT_EQ(got[i].kind, want[i].kind);
+    EXPECT_STREQ(got[i].phase, want[i].phase);
+    EXPECT_STREQ(got[i].name, want[i].name);
+    EXPECT_STREQ(got[i].proto, want[i].proto);
+    EXPECT_EQ(got[i].run, want[i].run);
+    EXPECT_EQ(got[i].round, want[i].round);
+    EXPECT_EQ(got[i].node, want[i].node);
+    EXPECT_EQ(got[i].tick - got.front().tick, want[i].tick - want.front().tick);
+    ASSERT_EQ(got[i].num_args, want[i].num_args);
+    for (int a = 0; a < got[i].num_args; ++a) {
+      EXPECT_STREQ(got[i].args[a].key, want[i].args[a].key);
+      EXPECT_EQ(got[i].args[a].value, want[i].args[a].value);
+    }
+  }
+}
+
+TEST(NetworkTest, FloodEqualsBroadcastLoopOverPreOrder) {
+  constexpr FloodSetup kSetups[] = {FloodSetup::kBare, FloodSetup::kObserver,
+                                    FloodSetup::kTraceBuffer,
+                                    FloodSetup::kCrashedInterior};
+  // 3000 bits fragment into several packets, so packet counts and the
+  // per-fragment header cost both show in the comparison.
+  constexpr int64_t kBits = 3000;
+  ASSERT_GT(Packetizer{}.Packetize(kBits).packets, 1);
+  for (FloodSetup setup : kSetups) {
+    SCOPED_TRACE(testing::Message() << "setup " << static_cast<int>(setup));
+    const Dissemination flood = Disseminate(setup, /*flood=*/true, kBits);
+    const Dissemination loop = Disseminate(setup, /*flood=*/false, kBits);
+
+    EXPECT_EQ(flood.energy_bits, loop.energy_bits);
+    EXPECT_EQ(flood.packets, loop.packets);
+    EXPECT_GT(flood.packets, 0);
+    ExpectSameSends(flood.sends, loop.sends);
+    EXPECT_EQ(flood.sends.empty(), setup != FloodSetup::kObserver);
+
+    if (setup == FloodSetup::kTraceBuffer) {
+      // The flood wraps the very same broadcast events in one span.
+      ASSERT_GE(flood.events.size(), 2u);
+      EXPECT_EQ(flood.events.front().kind, trace::Event::Kind::kBegin);
+      EXPECT_STREQ(flood.events.front().name, "flood");
+      EXPECT_EQ(flood.events.back().kind, trace::Event::Kind::kEnd);
+      EXPECT_STREQ(flood.events.back().name, "flood");
+      ASSERT_FALSE(loop.events.empty());
+      ExpectSameEvents(std::vector<trace::Event>(flood.events.begin() + 1,
+                                                 flood.events.end() - 1),
+                       loop.events);
+    } else {
+      EXPECT_TRUE(flood.events.empty());
+      EXPECT_TRUE(loop.events.empty());
+    }
+
+    if (setup == FloodSetup::kCrashedInterior) {
+      // The crash really gated the flood: the victim neither sent nor
+      // heard, so it paid nothing.
+      EXPECT_EQ(flood.energy_bits[static_cast<size_t>(flood.crashed)], 0u);
+      EXPECT_LT(flood.packets, Disseminate(FloodSetup::kBare, true, kBits)
+                                   .packets);
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Unit tests of the wsnq-trace layer ("util/trace.h"): TraceBuffer event
 // recording, TraceSink ordered folding and serialization, RunScope /
 // ScopedSpan RAII, the profiling hooks, and the per-run metrics registry
-// ("core/metrics_registry.h"). Everything here must pass in BOTH build
-// flavors — the buffer/sink classes are always compiled; only the
-// WSNQ_TRACE_* macros depend on -DWSNQ_TRACING=1, and the macro test
-// branches on trace::CompiledIn().
+// ("core/metrics_registry.h"). The WSNQ_TRACE_* macros are always
+// compiled in; the macro tests pin that they emit inside a RunScope and
+// do nothing without one.
 
 #include <cstdio>
 #include <string>
@@ -150,7 +149,7 @@ TEST(TraceRunScopeTest, ScopedSpanBindsToBufferAtConstruction) {
   EXPECT_EQ(buffer.events()[1].kind, trace::Event::Kind::kEnd);
 }
 
-TEST(TraceMacroTest, EmissionMatchesCompiledInFlag) {
+TEST(TraceMacroTest, EmitsInsideRunScope) {
   trace::TraceBuffer buffer(0);
   {
     trace::RunScope scope(&buffer);
@@ -160,14 +159,38 @@ TEST(TraceMacroTest, EmissionMatchesCompiledInFlag) {
     WSNQ_TRACE_SCOPE("validation", "span", -1);
     WSNQ_TRACE_COUNTER("packets", 3);
   }
-  if (trace::CompiledIn()) {
-    // instant + begin + counter + end (scope closes last).
-    ASSERT_EQ(buffer.events().size(), 4u);
-    EXPECT_EQ(buffer.events()[0].round, 2);
-    EXPECT_STREQ(buffer.events()[0].proto, "TAG");
-  } else {
-    EXPECT_TRUE(buffer.empty());
+  // instant + begin + counter + end (scope closes last).
+  ASSERT_EQ(buffer.events().size(), 4u);
+  EXPECT_EQ(buffer.events()[0].round, 2);
+  EXPECT_STREQ(buffer.events()[0].proto, "TAG");
+}
+
+TEST(TraceMacroTest, NoRunScopeEmitsNothing) {
+  // Tracing is off at run time when the thread has no active buffer: every
+  // macro must be a safe no-op, and an event's arguments go unevaluated.
+  ASSERT_EQ(trace::Current(), nullptr);
+  int evaluated = 0;
+  auto touch = [&evaluated] { return static_cast<int64_t>(++evaluated); };
+  WSNQ_TRACE_SET_PROTO("TAG");
+  WSNQ_TRACE_SET_ROUND(2);
+  WSNQ_TRACE_EVENT("validation", "probe", -1, {"mid", touch()});
+  {
+    WSNQ_TRACE_SCOPE("validation", "span", -1);
+    WSNQ_TRACE_COUNTER("packets", touch());
   }
+  EXPECT_EQ(evaluated, 0);
+  EXPECT_EQ(trace::Current(), nullptr);
+
+  // A buffer installed afterwards sees none of it: no event was parked,
+  // and the round/proto stamps above went nowhere.
+  trace::TraceBuffer buffer(0);
+  {
+    trace::RunScope scope(&buffer);
+    WSNQ_TRACE_EVENT("validation", "probe", -1);
+  }
+  ASSERT_EQ(buffer.events().size(), 1u);
+  EXPECT_EQ(buffer.events()[0].round, 0);
+  EXPECT_STREQ(buffer.events()[0].proto, "");
 }
 
 TEST(TraceGlobalSinkTest, InstallFlushAndClear) {

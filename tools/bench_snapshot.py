@@ -172,8 +172,7 @@ def collect_metadata(build_dir):
         "cxx_flags": cache.get("CMAKE_CXX_FLAGS", ""),
         "options": {
             name: cache.get(name, "")
-            for name in ("WSNQ_TRACING", "WSNQ_PERF_ALLOC", "WSNQ_SANITIZE",
-                         "WSNQ_WERROR")
+            for name in ("WSNQ_PERF_ALLOC", "WSNQ_SANITIZE", "WSNQ_WERROR")
         },
         "git_rev": git_revision(),
     }

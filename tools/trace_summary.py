@@ -97,8 +97,7 @@ def main():
               file=sys.stderr)
         return 2
     if not events:
-        print(f"trace_summary: {args.trace} holds no events "
-              "(built without -DWSNQ_TRACING=ON?)")
+        print(f"trace_summary: {args.trace} holds no events")
         return 0
 
     per_event, per_proto, counters = summarize(events, args.phase, args.proto)
