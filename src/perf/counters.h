@@ -13,8 +13,8 @@
 // path (tests/perf_test.cc).
 //
 // This file is part of src/perf/, the sole sanctioned home of
-// perf_event_open / raw timing syscalls outside the historical allowlist
-// (wsnq-lint rule `perf-syscall`, wsnq-analyzer rule `ban-perf-syscall`).
+// perf_event_open and the raw syscall() it needs (wsnq-lint rule
+// `perf-syscall`).
 
 #ifndef WSNQ_PERF_COUNTERS_H_
 #define WSNQ_PERF_COUNTERS_H_

@@ -4,6 +4,7 @@
 #include <chrono>  // the sanctioned wall-clock site (wsnq-lint: raw-clock)
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <utility>
@@ -15,22 +16,57 @@ namespace wsnq {
 
 namespace {
 
-// printf-append helper shared by the trace serializers and the prof
-// reporters below. Truncates one formatted chunk at 256 bytes; callers
-// keep individual chunks well under that.
+/// Destination of formatted output: a string, or a FILE* written as the
+/// text is produced. The trace serializers write through one so that
+/// TraceSink::WriteFile streams each event to disk instead of first
+/// building the whole body in memory; Serialize*() and the file share one
+/// formatting body per format.
+class Out {
+ public:
+  explicit Out(std::string* str) : str_(str) {}
+  explicit Out(std::FILE* file) : file_(file) {}
+
+  /// printf into one chunk. Truncates a chunk at 255 bytes; callers keep
+  /// individual chunks well under that.
+  void VPrintf(const char* fmt, va_list ap) {
+    char buf[256];
+    const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    WSNQ_CHECK_GE(n, 0);
+    Write(buf, static_cast<size_t>(n) < sizeof(buf) ? static_cast<size_t>(n)
+                                                    : sizeof(buf) - 1);
+  }
+
+  void Printf(const char* fmt, ...) __attribute__((format(printf, 2, 3))) {
+    va_list ap;
+    va_start(ap, fmt);
+    VPrintf(fmt, ap);
+    va_end(ap);
+  }
+
+  void Puts(const char* text) { Write(text, std::strlen(text)); }
+
+ private:
+  void Write(const char* data, size_t n) {
+    if (str_ != nullptr) {
+      str_->append(data, n);
+    } else {
+      std::fwrite(data, 1, n, file_);
+    }
+  }
+
+  std::string* str_ = nullptr;
+  std::FILE* file_ = nullptr;
+};
+
+// printf-append helper for the prof reporters below.
 void AppendF(std::string* out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
 void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
   va_list ap;
   va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  Out(out).VPrintf(fmt, ap);
   va_end(ap);
-  WSNQ_CHECK_GE(n, 0);
-  out->append(buf, static_cast<size_t>(n) < sizeof(buf)
-                       ? static_cast<size_t>(n)
-                       : sizeof(buf) - 1);
 }
 
 }  // namespace
@@ -136,70 +172,88 @@ void TraceSink::Fold(const TraceBuffer& buffer) {
   next_tick_ += buffer.ticks();
 }
 
-std::string TraceSink::SerializeJsonl() const {
-  std::string out;
-  out.reserve(events_.size() * 96);
-  for (const Event& e : events_) {
-    AppendF(&out,
-            "{\"run\":%d,\"tick\":%lld,\"round\":%lld,\"proto\":\"%s\","
-            "\"phase\":\"%s\",\"name\":\"%s\",\"node\":%d,\"kind\":\"%s\"",
-            e.run, static_cast<long long>(e.tick),
-            static_cast<long long>(e.round), e.proto, e.phase, e.name,
-            e.node, KindName(e.kind));
+namespace {
+
+void EmitJsonl(const std::vector<Event>& events, Out& out) {
+  for (const Event& e : events) {
+    out.Printf("{\"run\":%d,\"tick\":%lld,\"round\":%lld,\"proto\":\"%s\","
+               "\"phase\":\"%s\",\"name\":\"%s\",\"node\":%d,\"kind\":\"%s\"",
+               e.run, static_cast<long long>(e.tick),
+               static_cast<long long>(e.round), e.proto, e.phase, e.name,
+               e.node, KindName(e.kind));
     if (e.num_args > 0) {
-      out += ",\"args\":{";
+      out.Puts(",\"args\":{");
       for (int i = 0; i < e.num_args; ++i) {
-        AppendF(&out, "%s\"%s\":%lld", i > 0 ? "," : "", e.args[i].key,
-                static_cast<long long>(e.args[i].value));
+        out.Printf("%s\"%s\":%lld", i > 0 ? "," : "", e.args[i].key,
+                   static_cast<long long>(e.args[i].value));
       }
-      out += "}";
+      out.Puts("}");
     }
-    out += "}\n";
+    out.Puts("}\n");
   }
-  return out;
+}
+
+void EmitChromeJson(const std::vector<Event>& events, Out& out) {
+  out.Puts("{\"traceEvents\":[\n");
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    // pid = run so Perfetto groups one run per process track; tid maps the
+    // coordinator (node == -1) to 0 and vertex v to v + 1.
+    out.Printf("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%lld,"
+               "\"pid\":%d,\"tid\":%d",
+               e.name, e.phase, ChromePh(e.kind),
+               static_cast<long long>(e.tick), e.run, e.node + 1);
+    if (e.kind == Event::Kind::kInstant) out.Puts(",\"s\":\"t\"");
+    if (e.kind == Event::Kind::kCounter) {
+      out.Printf(",\"args\":{\"%s\":%lld}", e.args[0].key,
+                 static_cast<long long>(e.args[0].value));
+    } else {
+      out.Printf(",\"args\":{\"proto\":\"%s\",\"round\":%lld", e.proto,
+                 static_cast<long long>(e.round));
+      for (int a = 0; a < e.num_args; ++a) {
+        out.Printf(",\"%s\":%lld", e.args[a].key,
+                   static_cast<long long>(e.args[a].value));
+      }
+      out.Puts("}");
+    }
+    out.Puts(i + 1 < events.size() ? "},\n" : "}\n");
+  }
+  out.Puts("],\"displayTimeUnit\":\"ms\"}\n");
+}
+
+}  // namespace
+
+std::string TraceSink::SerializeJsonl() const {
+  std::string str;
+  str.reserve(events_.size() * 96);
+  Out out(&str);
+  EmitJsonl(events_, out);
+  return str;
 }
 
 std::string TraceSink::SerializeChromeJson() const {
-  std::string out = "{\"traceEvents\":[\n";
-  for (size_t i = 0; i < events_.size(); ++i) {
-    const Event& e = events_[i];
-    // pid = run so Perfetto groups one run per process track; tid maps the
-    // coordinator (node == -1) to 0 and vertex v to v + 1.
-    AppendF(&out,
-            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%lld,"
-            "\"pid\":%d,\"tid\":%d",
-            e.name, e.phase, ChromePh(e.kind),
-            static_cast<long long>(e.tick), e.run, e.node + 1);
-    if (e.kind == Event::Kind::kInstant) out += ",\"s\":\"t\"";
-    if (e.kind == Event::Kind::kCounter) {
-      AppendF(&out, ",\"args\":{\"%s\":%lld}", e.args[0].key,
-              static_cast<long long>(e.args[0].value));
-    } else {
-      AppendF(&out, ",\"args\":{\"proto\":\"%s\",\"round\":%lld", e.proto,
-              static_cast<long long>(e.round));
-      for (int a = 0; a < e.num_args; ++a) {
-        AppendF(&out, ",\"%s\":%lld", e.args[a].key,
-                static_cast<long long>(e.args[a].value));
-      }
-      out += "}";
-    }
-    out += i + 1 < events_.size() ? "},\n" : "}\n";
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
+  std::string str;
+  Out out(&str);
+  EmitChromeJson(events_, out);
+  return str;
 }
 
 Status TraceSink::WriteFile() const {
   const bool jsonl = path_.size() >= 6 &&
                      path_.compare(path_.size() - 6, 6, ".jsonl") == 0;
-  const std::string body = jsonl ? SerializeJsonl() : SerializeChromeJson();
   std::FILE* f = std::fopen(path_.c_str(), "wb");
   if (f == nullptr) {
     return Status::Internal("cannot open trace file: " + path_);
   }
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
+  Out out(f);
+  if (jsonl) {
+    EmitJsonl(events_, out);
+  } else {
+    EmitChromeJson(events_, out);
+  }
+  const bool write_failed = std::ferror(f) != 0;
   const int close_rc = std::fclose(f);
-  if (written != body.size() || close_rc != 0) {
+  if (write_failed || close_rc != 0) {
     return Status::Internal("short write to trace file: " + path_);
   }
   return Status::Ok();

@@ -17,7 +17,7 @@
 //    spans. Non-deterministic by nature, so output goes to stderr or an
 //    explicitly requested profile JSON, never into deterministic stdout or
 //    trace files. This file's .cc is one of the two sanctioned
-//    steady_clock::now() sites (wsnq-lint rule `raw-clock`).
+//    steady_clock::now() sites, with bench/ (wsnq-lint rule `raw-clock`).
 
 #ifndef WSNQ_UTIL_TRACE_H_
 #define WSNQ_UTIL_TRACE_H_
@@ -236,9 +236,9 @@ class StageObserver {
 void SetStageObserver(StageObserver* observer);
 StageObserver* GetStageObserver();
 
-/// Monotonic wall clock [seconds]. The implementation (trace.cc) and the
-/// thread pool are the only places allowed to touch a raw clock
-/// (wsnq-lint rule `raw-clock`); everything else times through this.
+/// Monotonic wall clock [seconds]. Outside bench/, the implementation
+/// (trace.cc) is the only place allowed to touch a raw clock (wsnq-lint
+/// rule `raw-clock`); everything else times through this.
 double WallSeconds();
 
 /// Adds one completed span to the process-wide profile (thread-safe).

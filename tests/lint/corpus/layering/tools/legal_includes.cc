@@ -1,0 +1,11 @@
+// wsnq-lint corpus: layering negatives — tools sit above the whole stack
+// and may include any src/ layer, with no diagnostics. NOT compiled.
+
+#include "core/report.h"
+#include "perf/counters.h"
+#include "serve/client.h"
+#include "util/status.h"
+
+namespace corpus {
+int LegalIncludesFixtureTools() { return 0; }
+}  // namespace corpus

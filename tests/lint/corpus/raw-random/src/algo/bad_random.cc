@@ -10,6 +10,9 @@ int Draw() {
   return rand();  // lint-expect: raw-random
 }
 
+// A name nested in an engine type still names the engine.
+using Word = std::mt19937::result_type;  // lint-expect: raw-random
+
 // Negatives: identifiers that merely contain the banned tokens.
 int Brand() { return 0; }
 int strand_count = 0;

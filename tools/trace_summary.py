@@ -20,6 +20,7 @@ clock never enters a trace file (docs/observability.md).
 import argparse
 import collections
 import json
+import os
 import sys
 
 
@@ -121,4 +122,13 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early (`trace_summary.py t.json | head`). Point
+        # stdout at /dev/null so the exit-time flush cannot raise again,
+        # and leave without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
