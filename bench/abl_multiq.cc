@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     double max_round_sum = 0.0;
     for (int64_t t = 0; t <= config.rounds; ++t) {
       net->BeginRound();
-      multi.RunRound(net, scenario.value().ValuesByVertex(t), t);
+      multi.RunRound(net, scenario.value().ValuesView(t), t);
       max_round_sum += net->MaxRoundEnergyOverSensors();
     }
     out.shared_energy = max_round_sum / (config.rounds + 1);
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
                     scenario.value().source->range_max(), config.wire, {});
       for (int64_t t = 0; t <= config.rounds; ++t) {
         net->BeginRound();
-        iq.RunRound(net, scenario.value().ValuesByVertex(t), t);
+        iq.RunRound(net, scenario.value().ValuesView(t), t);
         for (int v = 0; v < net->num_vertices(); ++v) {
           per_round_energy[static_cast<size_t>(t) *
                                static_cast<size_t>(net->num_vertices()) +

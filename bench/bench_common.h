@@ -15,7 +15,6 @@
 #include "core/experiment.h"
 #include "core/report.h"
 #include "perf/bench_harness.h"
-#include "perf/stage_collector.h"
 #include "util/flags.h"
 #include "util/trace.h"
 
@@ -70,10 +69,8 @@ inline int HarnessIntFromEnv(const char* name, int fallback) {
 ///   --trace=PATH     structured event trace (.jsonl = JSONL, else
 ///                    Chrome/Perfetto JSON).
 ///   --metrics=PATH   long-format metrics CSV (docs/observability.md).
-///   --profile[=PATH] wall-clock stage profile to stderr (plus JSON when a
-///                    PATH is given); attaches the perf::StageCollector so
-///                    stages carry hardware-counter/alloc deltas where the
-///                    host provides them.
+///   --profile[=PATH] stage profile (wall clock and thread CPU time) to
+///                    stderr, plus JSON when a PATH is given.
 ///   --reps=N         measured repetitions of the sweep computation
 ///                    (default 1 / WSNQ_BENCH_REPS). Rows print once (rep
 ///                    0); the "# bench" stderr line reports median/MAD/CV
@@ -113,10 +110,6 @@ inline bool ParseCommonFlags(int argc, const char* const* argv,
   if (!ok) return false;
   if (!Options().profile_path.empty()) {
     prof::Enable();
-    // Attach counters/alloc accounting to the prof:: spans. The status
-    // line says whether this host grants perf_event_open; stderr, so
-    // deterministic stdout is untouched.
-    std::fprintf(stderr, "%s\n", perf::InstallStageCollector().c_str());
   }
   if (!Options().trace_path.empty()) {
     trace::InstallGlobalSink(Options().trace_path);

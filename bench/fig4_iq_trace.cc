@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   for (int64_t round = 0; round <= config.rounds; ++round) {
     WSNQ_TRACE_SET_ROUND(round);
     net->BeginRound();
-    const auto values = scenario.value().ValuesByVertex(round);
+    const auto values = scenario.value().ValuesView(round);
     iq.RunRound(net, values, round);
     const auto sensors = SensorValues(*net, values);
     const bool correct =

@@ -183,21 +183,8 @@ BENCHMARK(BM_ScenarioCachePrepare)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-// Per-round value access: the lazy ValuesByVertex copy versus a view into
-// rows materialized once per run (Scenario::MaterializeValues).
-void BM_ValuesByVertex(benchmark::State& state) {
-  SimulationConfig config;
-  config.num_sensors = 256;
-  auto scenario = BuildScenario(config, 0);
-  int64_t round = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scenario.value().ValuesByVertex(round % 200).size());
-    ++round;
-  }
-}
-BENCHMARK(BM_ValuesByVertex);
-
+// Per-round value access: a view into rows materialized once per run
+// (Scenario::MaterializeValues).
 void BM_ValuesViewMaterialized(benchmark::State& state) {
   SimulationConfig config;
   config.num_sensors = 256;
@@ -223,10 +210,10 @@ void BM_FullProtocolRound(benchmark::State& state) {
   Network* net = scenario.value().network.get();
   int64_t round = 0;
   net->BeginRound();
-  protocol->RunRound(net, scenario.value().ValuesByVertex(0), round++);
+  protocol->RunRound(net, scenario.value().ValuesView(0), round++);
   for (auto _ : state) {
     net->BeginRound();
-    protocol->RunRound(net, scenario.value().ValuesByVertex(round % 200),
+    protocol->RunRound(net, scenario.value().ValuesView(round % 200),
                        round);
     ++round;
   }

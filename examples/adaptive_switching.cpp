@@ -70,7 +70,7 @@ int main() {
               "hotspot_mJ", "switches");
   for (int64_t round = 0; round <= config.rounds; ++round) {
     net->BeginRound();
-    protocol.RunRound(net, scenario.value().ValuesByVertex(round), round);
+    protocol.RunRound(net, scenario.value().ValuesView(round), round);
     if (round % 10 == 0) {
       std::printf("%-6lld %-8lld %-8s %-10.4f %d\n",
                   static_cast<long long>(round),

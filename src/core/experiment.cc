@@ -66,8 +66,8 @@ Status ExecuteRun(const SimulationConfig& config,
   // executor it borrows (it is installed below, not owned).
   std::optional<WaveExecutor> wave_executor;
   StatusOr<Scenario> scenario = [&] {
-    // With a prepared cache this is assembly only (all artifact lookups
-    // hit); the construction cost then shows up under
+    // The cache is prepared, so this is assembly only (all artifact
+    // lookups hit); the construction cost shows up under
     // experiment/prepare_cache instead.
     prof::ScopedTimer timer("experiment/build_scenario");
     return BuildScenario(config, run, cache);
@@ -106,8 +106,8 @@ Status ExecuteRun(const SimulationConfig& config,
   return Status::Ok();
 }
 
-/// RunExperiment body, parameterized over an optional prepared cache so
-/// RunSweep can share one cache across sweep points.
+/// RunExperiment body over a prepared cache, so RunSweep can share one
+/// cache across sweep points.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs,
@@ -193,8 +193,8 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
 /// Deterministic cache pre-population: runs build in parallel at
 /// config.threads into private stores, merged in run-index order; after
 /// this the cache is sealed and every lookup is read-only. A Prepare
-/// failure is exactly the Status the uncached serial path would report for
-/// its first failing run, so failure semantics are cache-invariant.
+/// failure is exactly the Status BuildScenario reports for the first
+/// failing run.
 Status PrepareCache(ScenarioCache* cache, const SimulationConfig& config,
                     int runs) {
   prof::ScopedTimer timer("experiment/prepare_cache");
@@ -206,9 +206,6 @@ Status PrepareCache(ScenarioCache* cache, const SimulationConfig& config,
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs) {
-  if (!ScenarioCache::Enabled()) {
-    return RunExperimentImpl(config, factories, runs, nullptr);
-  }
   ScenarioCache cache;
   Status status = PrepareCache(&cache, config, runs);
   if (!status.ok()) return status;
@@ -218,22 +215,14 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
 StatusOr<std::vector<SweepPointResult>> RunSweep(
     const std::vector<SweepPoint>& points,
     const std::vector<ProtocolFactory>& factories, int runs) {
-  const bool cache_enabled = ScenarioCache::Enabled();
   ScenarioCache cache;  // one cache spanning every sweep point
   std::vector<SweepPointResult> results;
   results.reserve(points.size());
   for (const SweepPoint& point : points) {
+    Status status = PrepareCache(&cache, point.config, runs);
     StatusOr<std::vector<AlgorithmAggregate>> aggregates =
-        Status::InvalidArgument("unreachable");
-    if (cache_enabled) {
-      Status status = PrepareCache(&cache, point.config, runs);
-      aggregates = status.ok() ? RunExperimentImpl(point.config, factories,
-                                                   runs, &cache)
-                               : StatusOr<std::vector<AlgorithmAggregate>>(
-                                     status);
-    } else {
-      aggregates = RunExperimentImpl(point.config, factories, runs, nullptr);
-    }
+        status.ok() ? RunExperimentImpl(point.config, factories, runs, &cache)
+                    : StatusOr<std::vector<AlgorithmAggregate>>(status);
     if (!aggregates.ok()) {
       return Status(aggregates.status().code(),
                     "sweep point x=" + point.x_value + ": " +

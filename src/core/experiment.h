@@ -61,11 +61,11 @@ ProtocolFactory DefaultFactory(AlgorithmKind kind);
 /// to the serial path for every thread count (tests/
 /// parallel_determinism_test.cc holds this to exact equality).
 ///
-/// Unless WSNQ_SCENARIO_CACHE=0, the immutable scenario artifacts (radio
-/// graphs, value sources, tree templates) are built once by a
-/// ScenarioCache pre-population pass — runs in parallel, merged in run
-/// order — and shared read-only across runs (core/scenario_cache.h);
-/// results are bit-identical either way.
+/// The immutable scenario artifacts (radio graphs, value sources, tree
+/// templates) are built once by a ScenarioCache pre-population pass — runs
+/// in parallel, merged in run order — and shared read-only across runs
+/// (core/scenario_cache.h); results are bit-identical to building each run
+/// with BuildScenario(config, run) and no store.
 StatusOr<std::vector<AlgorithmAggregate>> RunExperiment(
     const SimulationConfig& config,
     const std::vector<ProtocolFactory>& factories, int runs);

@@ -28,15 +28,6 @@ void Scenario::FillRow(int64_t round, std::vector<int64_t>* row) const {
   }
 }
 
-std::vector<int64_t> Scenario::ValuesByVertex(int64_t round) const {
-  if (round >= 0 && round < materialized_rounds()) {
-    return value_rows_[static_cast<size_t>(round)];
-  }
-  std::vector<int64_t> values;
-  FillRow(round, &values);
-  return values;
-}
-
 void Scenario::MaterializeValues(int64_t rounds) {
   value_rows_.resize(static_cast<size_t>(rounds));
   for (int64_t round = 0; round < rounds; ++round) {

@@ -78,10 +78,6 @@ struct Scenario {
   /// Rank queried: max(1, floor(phi * |N|)).
   int64_t k = 0;
 
-  /// Measurements of round `round`, indexed by network vertex (the root's
-  /// entry is 0 and unused).
-  std::vector<int64_t> ValuesByVertex(int64_t round) const;
-
   /// Precomputes the value rows of rounds [0, rounds) so every protocol
   /// replay reads the identical materialized row through ValuesView
   /// instead of re-deriving it per factory (values are integers, so the
@@ -92,7 +88,8 @@ struct Scenario {
     return static_cast<int64_t>(value_rows_.size());
   }
 
-  /// Vertex-indexed values of `round` by reference: materialized rows are
+  /// Measurements of round `round`, indexed by network vertex (the root's
+  /// entry is 0 and unused), by reference: materialized rows are
   /// returned directly, other rounds are computed into a per-scenario
   /// scratch row. Not safe for concurrent calls on one Scenario — each
   /// run's task owns its scenario exclusively (docs/hardening.md).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "core/experiment.h"
@@ -93,13 +92,6 @@ std::string RoutingTreeKey(const std::string& deployment_key, int root,
 }
 
 }  // namespace internal
-
-bool ScenarioCache::Enabled() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
-  const char* raw = std::getenv("WSNQ_SCENARIO_CACHE");
-  return raw == nullptr || raw[0] == '\0' ||
-         !(raw[0] == '0' && raw[1] == '\0');
-}
 
 /// One run's private artifact store during Prepare. Lookups read through
 /// to the shared map, which nobody mutates while runs build; Puts stay

@@ -41,8 +41,8 @@
 // Determinism: BuildScenario runs the identical construction code with and
 // without a store (core/scenario.h, ArtifactStore), so cached and uncached
 // scenarios — and therefore aggregates, traces, and goldens — are
-// bit-identical (tests/scenario_cache_test.cc, golden tests with
-// WSNQ_SCENARIO_CACHE={0,1}).
+// bit-identical (tests/scenario_cache_test.cc replays every paper protocol
+// over both and compares results and trace bytes).
 
 #ifndef WSNQ_CORE_SCENARIO_CACHE_H_
 #define WSNQ_CORE_SCENARIO_CACHE_H_
@@ -117,10 +117,6 @@ class ScenarioCache final : public internal::ArtifactStore {
   ScenarioCache() = default;
   ScenarioCache(const ScenarioCache&) = delete;
   ScenarioCache& operator=(const ScenarioCache&) = delete;
-
-  /// False when the WSNQ_SCENARIO_CACHE environment variable is "0";
-  /// true otherwise (the cache defaults to on).
-  static bool Enabled();
 
   /// Builds every shareable artifact of runs [0, runs), fanning runs out
   /// over config.threads pool threads, merges them in run-index order on

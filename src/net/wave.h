@@ -13,9 +13,8 @@
 // Deferred send replay is sound only on the reliable medium, where
 // SendToParent unconditionally succeeds and protocol logic cannot observe
 // transport state mid-wave. With a TransportPolicy installed (loss, churn,
-// ARQ) the engine runs the same partitioned program inline on the calling
-// thread, in exact serial order — so the partition is still exercised (and
-// pinned byte-identical by tests) while outcomes stay order-faithful.
+// ARQ) the engine runs the classic serial post-order loop on the calling
+// thread, so outcomes stay order-faithful.
 
 #ifndef WSNQ_NET_WAVE_H_
 #define WSNQ_NET_WAVE_H_
@@ -175,35 +174,16 @@ void RunConvergecastWave(Network* net, Ops&& ops) {
   };
 
   WaveExecutor* ex = net->wave_executor();
-  if (ex == nullptr) {
-    // Classic serial loop (--subtree-parallel off).
+  if (ex == nullptr || net->transport_policy() != nullptr) {
+    // Classic serial loop: --subtree-parallel is off, or send outcomes may
+    // depend on per-link transport state, which rules out deferred replay.
     WaveLane lane;
     for (int v : tree.post_order) process_live(v, lane);
     return;
   }
 
-  const SubtreeCut& cut = ex->CutFor(*net);
-  if (net->transport_policy() != nullptr) {
-    // Send outcomes may depend on per-link transport state, so deferred
-    // replay is off the table: run the partitioned program inline. The
-    // steps visit post-order positions exactly in order, so this is the
-    // classic loop with the partition boundaries made explicit.
-    WaveLane lane;
-    for (const SubtreeCut::Step& step : cut.steps) {
-      if (step.part >= 0) {
-        const SubtreeCut::Part& part =
-            cut.parts[static_cast<size_t>(step.part)];
-        for (size_t i = part.begin; i < part.end; ++i) {
-          process_live(tree.post_order[i], lane);
-        }
-      } else {
-        process_live(step.vertex, lane);
-      }
-    }
-    return;
-  }
-
   // Reliable medium: parts compute in parallel and record their sends.
+  const SubtreeCut& cut = ex->CutFor(*net);
   auto& records = ex->Records(cut.parts.size());
   auto& lanes = ex->Lanes(cut.parts.size());
   const Status status = ex->pool()->ParallelFor(

@@ -90,19 +90,13 @@ void ThreadPool::WorkerLoop(int worker) {
 }
 
 void ThreadPool::RunChunk(const char* label) {
-  // Per-worker busy span (wall clock, stderr-only profile — never part of
+  // Per-worker busy span (stderr-only profile — never part of
   // deterministic output). Sampled per chunk, not per index, so the
-  // overhead is one clock pair per ParallelFor participation.
-  const double chunk_start =
-      prof::Enabled() ? prof::WallSeconds() : -1.0;
+  // overhead is one pair of clock reads per ParallelFor participation.
+  prof::ScopedTimer span(label);
   for (;;) {
     const int64_t index = next_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= job_n_) {
-      if (chunk_start >= 0.0) {
-        prof::AddSample(label, prof::WallSeconds() - chunk_start);
-      }
-      return;
-    }
+    if (index >= job_n_) return;
     Status status = (*job_fn_)(index);
     MutexLock lock(mu_);
     if (!status.ok() &&

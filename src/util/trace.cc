@@ -1,10 +1,11 @@
 #include "util/trace.h"
 
 #include <atomic>
-#include <chrono>  // the sanctioned wall-clock site (wsnq-lint: raw-clock)
+#include <chrono>  // the sanctioned clock-read site (wsnq-lint: raw-clock)
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <utility>
@@ -288,11 +289,10 @@ struct StageStat {
   double total_s = 0.0;
   double min_s = 0.0;
   double max_s = 0.0;
-  StageExtras extras;
+  double cpu_s = 0.0;
 };
 
 std::atomic<bool> g_enabled{false};
-std::atomic<StageObserver*> g_observer{nullptr};
 
 /// Guards the profile's stage map (workers call AddSample concurrently).
 Mutex& ProfileMu() {
@@ -307,43 +307,15 @@ std::map<std::string, StageStat>& Stages() WSNQ_REQUIRES(ProfileMu()) {
   return stages;
 }
 
-/// Sum of one optional counter: -1 ("unavailable") on either side wins,
-/// since a total missing some spans' share is no total at all.
-template <typename T>
-T SumOptional(T a, T b) {
-  return a < 0 || b < 0 ? T(-1) : a + b;
+/// CPU time consumed by the calling thread [seconds].
+double ThreadCpuSeconds() {
+  timespec ts{};
+  WSNQ_CHECK_EQ(clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts), 0);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 }  // namespace
-
-void StageExtras::Merge(const StageExtras& other) {
-  if (other.counter_spans > 0) {
-    const bool first = counter_spans == 0;
-    counter_spans += other.counter_spans;
-    cycles = first ? other.cycles : SumOptional(cycles, other.cycles);
-    instructions = first ? other.instructions
-                         : SumOptional(instructions, other.instructions);
-    cache_misses = first ? other.cache_misses
-                         : SumOptional(cache_misses, other.cache_misses);
-    branch_misses = first ? other.branch_misses
-                          : SumOptional(branch_misses, other.branch_misses);
-    task_clock_s = first ? other.task_clock_s
-                         : SumOptional(task_clock_s, other.task_clock_s);
-  }
-  alloc_spans += other.alloc_spans;
-  alloc_count += other.alloc_count;
-  alloc_bytes += other.alloc_bytes;
-}
-
-StageObserver::~StageObserver() = default;
-
-void SetStageObserver(StageObserver* observer) {
-  g_observer.store(observer, std::memory_order_release);
-}
-
-StageObserver* GetStageObserver() {
-  return g_observer.load(std::memory_order_acquire);
-}
 
 bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
@@ -355,19 +327,14 @@ double WallSeconds() {
       .count();
 }
 
-void AddSample(const char* stage, double seconds) {
-  AddSampleWithExtras(stage, seconds, nullptr);
-}
-
-void AddSampleWithExtras(const char* stage, double seconds,
-                         const StageExtras* extras) {
+void AddSample(const char* stage, double seconds, double cpu_seconds) {
   MutexLock lock(ProfileMu());
   StageStat& stat = Stages()[stage];
   if (stat.count == 0 || seconds < stat.min_s) stat.min_s = seconds;
   if (stat.count == 0 || seconds > stat.max_s) stat.max_s = seconds;
   ++stat.count;
   stat.total_s += seconds;
-  if (extras != nullptr) stat.extras.Merge(*extras);
+  stat.cpu_s += cpu_seconds;
 }
 
 std::vector<StageReport> Snapshot() {
@@ -381,7 +348,7 @@ std::vector<StageReport> Snapshot() {
     report.total_s = stat.total_s;
     report.min_s = stat.min_s;
     report.max_s = stat.max_s;
-    report.extras = stat.extras;
+    report.cpu_s = stat.cpu_s;
     reports.push_back(std::move(report));
   }
   return reports;  // std::map iteration: already sorted by stage
@@ -394,22 +361,15 @@ void ResetForTest() {
 
 ScopedTimer::ScopedTimer(const char* stage)
     : stage_(stage), start_(Enabled() ? WallSeconds() : -1.0) {
-  if (start_ >= 0.0) {
-    observer_ = GetStageObserver();
-    if (observer_ != nullptr) token_ = observer_->BeginSpan();
-  }
+  // The CPU reads nest inside the wall reads, so a span's CPU time never
+  // exceeds its wall time by more than the two clocks' granularity.
+  if (start_ >= 0.0) cpu_start_ = ThreadCpuSeconds();
 }
 
 ScopedTimer::~ScopedTimer() {
   if (start_ < 0.0) return;
-  const double seconds = WallSeconds() - start_;
-  if (observer_ != nullptr) {
-    StageExtras extras;
-    observer_->EndSpan(token_, &extras);
-    AddSampleWithExtras(stage_, seconds, &extras);
-  } else {
-    AddSample(stage_, seconds);
-  }
+  const double cpu_seconds = ThreadCpuSeconds() - cpu_start_;
+  AddSample(stage_, WallSeconds() - start_, cpu_seconds);
 }
 
 namespace {
@@ -417,41 +377,15 @@ namespace {
 /// Shared stderr/JSON field list; `sep` is " " for stderr key=value lines
 /// and "," for JSON (where keys are quoted).
 void AppendStageFields(std::string* out, const StageStat& stat, bool json) {
-  const StageExtras& x = stat.extras;
   const char* q = json ? "\"" : "";
   const char* kv = json ? "\":" : "=";
   const char* sep = json ? "," : " ";
-  AppendF(out, "%s%scount%s%lld%s%stotal_s%s%.6f%s%smin_s%s%.6f%s%smax_s%s%.6f",
+  AppendF(out,
+          "%s%scount%s%lld%s%stotal_s%s%.6f%s%smin_s%s%.6f%s%smax_s%s%.6f"
+          "%s%scpu_s%s%.6f",
           sep, q, kv, static_cast<long long>(stat.count), sep, q, kv,
-          stat.total_s, sep, q, kv, stat.min_s, sep, q, kv, stat.max_s);
-  if (x.counter_spans > 0) {
-    AppendF(out, "%s%scounter_spans%s%lld", sep, q, kv,
-            static_cast<long long>(x.counter_spans));
-    const std::pair<const char*, int64_t> counts[] = {
-        {"cycles", x.cycles},
-        {"instructions", x.instructions},
-        {"cache_misses", x.cache_misses},
-        {"branch_misses", x.branch_misses}};
-    // An event unavailable in some span reads -1: write null, never 0.
-    for (const auto& [name, value] : counts) {
-      if (value < 0) {
-        AppendF(out, "%s%s%s%snull", sep, q, name, kv);
-      } else {
-        AppendF(out, "%s%s%s%s%lld", sep, q, name, kv,
-                static_cast<long long>(value));
-      }
-    }
-    if (x.task_clock_s < 0) {
-      AppendF(out, "%s%stask_clock_s%snull", sep, q, kv);
-    } else {
-      AppendF(out, "%s%stask_clock_s%s%.6f", sep, q, kv, x.task_clock_s);
-    }
-  }
-  if (x.alloc_spans > 0) {
-    AppendF(out, "%s%salloc_count%s%lld%s%salloc_bytes%s%lld", sep, q, kv,
-            static_cast<long long>(x.alloc_count), sep, q, kv,
-            static_cast<long long>(x.alloc_bytes));
-  }
+          stat.total_s, sep, q, kv, stat.min_s, sep, q, kv, stat.max_s, sep,
+          q, kv, stat.cpu_s);
 }
 
 }  // namespace

@@ -191,62 +191,15 @@ namespace prof {
 bool Enabled();
 void Enable();
 
-/// Optional per-span measurements beyond wall clock, charged to the span's
-/// stage by an installed StageObserver (src/perf/stage_collector.h): deltas
-/// of hardware counters (perf_event_open) and of the allocation hooks
-/// (WSNQ_PERF_ALLOC). Spans without an observer — or on kernels where the
-/// counters are denied — simply carry counter_spans == alloc_spans == 0;
-/// wall-clock-only profiling is the unchanged base case, not an error.
-/// A single event the host does not provide (say, cycles on a PMU-less VM
-/// where task-clock still opens) reads -1, stays -1 through Merge, and is
-/// reported as null.
-struct StageExtras {
-  /// Spans that contributed hardware-counter deltas (0: wall-clock only).
-  int64_t counter_spans = 0;
-  /// Counter deltas; -1 when the event was unavailable in some span.
-  int64_t cycles = 0;
-  int64_t instructions = 0;
-  int64_t cache_misses = 0;
-  int64_t branch_misses = 0;
-  double task_clock_s = 0.0;
-  /// Spans that contributed allocation deltas (0: hooks compiled out).
-  int64_t alloc_spans = 0;
-  int64_t alloc_count = 0;
-  int64_t alloc_bytes = 0;
-
-  void Merge(const StageExtras& other);
-  bool empty() const { return counter_spans == 0 && alloc_spans == 0; }
-};
-
-/// Attaches extra measurements to profile spans. BeginSpan() snapshots
-/// whatever the observer measures on the calling thread and returns an
-/// opaque token; EndSpan() consumes the token and writes the deltas.
-/// Begin/End always pair on one thread (ScopedTimer is RAII), and nested
-/// spans end in LIFO order.
-class StageObserver {
- public:
-  virtual ~StageObserver();
-  virtual uint64_t BeginSpan() = 0;
-  virtual void EndSpan(uint64_t token, StageExtras* extras) = 0;
-};
-
-/// Installs the process-wide span observer (nullptr to detach). Install
-/// before timed work starts (bench/tool setup); the pointer must outlive
-/// every span begun while it was installed.
-void SetStageObserver(StageObserver* observer);
-StageObserver* GetStageObserver();
-
 /// Monotonic wall clock [seconds]. Outside bench/, the implementation
 /// (trace.cc) is the only place allowed to touch a raw clock (wsnq-lint
 /// rule `raw-clock`); everything else times through this.
 double WallSeconds();
 
-/// Adds one completed span to the process-wide profile (thread-safe).
-void AddSample(const char* stage, double seconds);
-
-/// AddSample plus the span's extra measurements (may be nullptr).
-void AddSampleWithExtras(const char* stage, double seconds,
-                         const StageExtras* extras);
+/// Adds one completed span to the process-wide profile (thread-safe):
+/// `seconds` of wall clock, of which the span's thread spent `cpu_seconds`
+/// on a CPU.
+void AddSample(const char* stage, double seconds, double cpu_seconds);
 
 /// One stage's accumulated profile, as returned by Snapshot().
 struct StageReport {
@@ -257,7 +210,10 @@ struct StageReport {
   /// bimodal ones that a bare total would average away.
   double min_s = 0.0;
   double max_s = 0.0;
-  StageExtras extras;
+  /// Thread CPU time summed over the spans; at most total_s up to clock
+  /// granularity. A gap to total_s is time the thread spent waiting
+  /// (locks, the pool's join, I/O) or descheduled.
+  double cpu_s = 0.0;
 };
 
 /// Copies the accumulated profile, sorted by stage name (thread-safe).
@@ -266,8 +222,9 @@ std::vector<StageReport> Snapshot();
 /// Drops every accumulated sample (tests only; profiling stays enabled).
 void ResetForTest();
 
-/// RAII wall-clock span over a named stage ("experiment/run", ...).
-/// No-op when profiling is disabled.
+/// RAII span over a named stage ("experiment/run", ...): wall clock plus
+/// the calling thread's CPU time (CLOCK_THREAD_CPUTIME_ID), both read in
+/// trace.cc. No-op when profiling is disabled.
 class ScopedTimer {
  public:
   explicit ScopedTimer(const char* stage);
@@ -277,15 +234,13 @@ class ScopedTimer {
 
  private:
   const char* stage_;
-  double start_;
-  StageObserver* observer_ = nullptr;
-  uint64_t token_ = 0;
+  double start_;  ///< wall clock at construction; -1 when disabled
+  double cpu_start_ = 0.0;
 };
 
-/// Writes "# profile stage=... count=... total_s=... min_s=... max_s=..."
-/// lines to stderr — plus counter/alloc fields for stages whose spans
-/// carried them — (stderr keeps deterministic stdout byte-identical).
-/// No-op when nothing was sampled.
+/// Writes "# profile stage=... count=... total_s=... min_s=... max_s=...
+/// cpu_s=..." lines to stderr (stderr keeps deterministic stdout
+/// byte-identical). No-op when nothing was sampled.
 void ReportToStderr();
 
 /// Writes the accumulated profile as JSON ({"stages": [...]}).

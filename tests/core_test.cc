@@ -82,7 +82,7 @@ TEST(ScenarioTest, DeterministicPerRun) {
   auto b = BuildScenario(config, 3);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value().ValuesByVertex(5), b.value().ValuesByVertex(5));
+  EXPECT_EQ(a.value().ValuesView(5), b.value().ValuesView(5));
   EXPECT_EQ(a.value().network->tree().parent, b.value().network->tree().parent);
 }
 
@@ -92,7 +92,7 @@ TEST(ScenarioTest, DifferentRunsDiffer) {
   auto b = BuildScenario(config, 1);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_NE(a.value().ValuesByVertex(0), b.value().ValuesByVertex(0));
+  EXPECT_NE(a.value().ValuesView(0), b.value().ValuesView(0));
 }
 
 TEST(ScenarioTest, PressureKeepsPositionsAcrossRuns) {

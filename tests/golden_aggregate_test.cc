@@ -30,7 +30,6 @@
 #include "algo/registry.h"
 #include "core/config.h"
 #include "core/experiment.h"
-#include "tests/test_scenario.h"
 
 namespace wsnq {
 namespace {
@@ -155,15 +154,6 @@ void CheckAgainstGoldenTable() {
 }
 
 TEST(GoldenAggregate, DefaultConfigMatchesFrozenValues) {
-  // Default environment: the scenario cache is on unless disabled, so this
-  // leg pins the cached construction path against the frozen table.
-  CheckAgainstGoldenTable();
-}
-
-TEST(GoldenAggregate, FrozenValuesHoldWithScenarioCacheDisabled) {
-  // And the uncached path must land on the identical bits — the golden
-  // table does not know (or care) whether artifacts were shared.
-  testing_support::ScopedEnv env("WSNQ_SCENARIO_CACHE", "0");
   CheckAgainstGoldenTable();
 }
 

@@ -23,7 +23,6 @@
 #include "algo/registry.h"
 #include "core/config.h"
 #include "core/experiment.h"
-#include "tests/test_scenario.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/trace.h"
@@ -122,24 +121,6 @@ std::string CaptureTrace(const SimulationConfig& config) {
   std::string serialized = trace::GlobalSink()->SerializeJsonl();
   trace::ClearGlobalSink();
   return serialized;
-}
-
-TEST(GoldenTraceTest, ScenarioCacheNeverChangesTrace) {
-  // Scenario construction emits no trace events, and cached runs replay
-  // the same materialized values, so the full serialized trace must be
-  // byte-identical whether or not artifacts were shared across runs.
-  std::string cache_off;
-  {
-    testing_support::ScopedEnv env("WSNQ_SCENARIO_CACHE", "0");
-    cache_off = CaptureTrace(GoldenConfig());
-  }
-  std::string cache_on;
-  {
-    testing_support::ScopedEnv env("WSNQ_SCENARIO_CACHE", "1");
-    cache_on = CaptureTrace(GoldenConfig());
-  }
-  ASSERT_FALSE(cache_off.empty());
-  EXPECT_EQ(cache_off, cache_on);
 }
 
 TEST(GoldenTraceTest, SubtreeParallelNeverChangesTrace) {

@@ -6,7 +6,7 @@
 
 #include "bench/bench_common.h"  // lint-expect: layering
 #include "core/config.h"
-#include "perf/counters.h"  // lint-expect: layering
+#include "perf/bench_harness.h"  // lint-expect: layering
 #include "util/status.h"
 
 namespace corpus {

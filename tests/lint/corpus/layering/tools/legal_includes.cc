@@ -2,7 +2,7 @@
 // and may include any src/ layer, with no diagnostics. NOT compiled.
 
 #include "core/report.h"
-#include "perf/counters.h"
+#include "perf/bench_harness.h"
 #include "serve/client.h"
 #include "util/status.h"
 

@@ -1,6 +1,5 @@
 // wsnq-lint corpus: perf-syscall. The kernel counter header and its ioctl
-// constants are counter plumbing too, wherever they appear outside
-// src/perf/. NOT compiled.
+// constants are counter plumbing too, wherever they appear. NOT compiled.
 
 #include <linux/perf_event.h>  // lint-expect: perf-syscall
 #include <sys/ioctl.h>

@@ -1,5 +1,5 @@
-// wsnq-lint corpus: perf-syscall. Counter plumbing outside src/perf/
-// bypasses the EPERM fallback and per-stage attribution. NOT compiled.
+// wsnq-lint corpus: perf-syscall. Counter plumbing is banned everywhere;
+// profiling reads thread CPU time through prof::ScopedTimer. NOT compiled.
 
 #include <linux/perf_event.h>  // lint-expect: perf-syscall
 

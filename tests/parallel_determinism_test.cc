@@ -14,7 +14,6 @@
 #include "algo/registry.h"
 #include "core/config.h"
 #include "core/experiment.h"
-#include "tests/test_scenario.h"
 #include "util/stats.h"
 
 namespace wsnq {
@@ -164,45 +163,12 @@ TEST(ParallelDeterminism, ThreadCountNeverChangesAggregates) {
   }
 }
 
-TEST(ParallelDeterminism, ScenarioCacheNeverChangesAggregates) {
-  // The full cross product: cache {off, on} × threads {1, 2, 8} must agree
-  // bit-for-bit with the cache-off serial baseline on every grid case —
-  // the scenario cache (core/scenario_cache.h) may only change wall-clock,
-  // never a single output bit.
-  constexpr int kRuns = 5;
-  for (GridCase& grid_case : ConfigGrid()) {
-    std::vector<AlgorithmAggregate> baseline;
-    {
-      testing_support::ScopedEnv env("WSNQ_SCENARIO_CACHE", "0");
-      grid_case.config.threads = 1;
-      auto serial = RunExperiment(grid_case.config, PaperAlgorithms(), kRuns);
-      ASSERT_TRUE(serial.ok())
-          << grid_case.name << ": " << serial.status().ToString();
-      baseline = std::move(serial).value();
-    }
-    for (const char* cache : {"0", "1"}) {
-      testing_support::ScopedEnv env("WSNQ_SCENARIO_CACHE", cache);
-      for (int threads : {1, 2, 8}) {
-        grid_case.config.threads = threads;
-        auto result =
-            RunExperiment(grid_case.config, PaperAlgorithms(), kRuns);
-        ASSERT_TRUE(result.ok())
-            << grid_case.name << ": " << result.status().ToString();
-        ExpectAggregatesIdentical(
-            baseline, result.value(),
-            std::string(grid_case.name) + " cache=" + cache +
-                " threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
 TEST(ParallelDeterminism, SubtreeParallelNeverChangesAggregates) {
   // In-run subtree parallelism (net/wave.h): every grid case — reliable,
   // lossy, bursty+ARQ, churn — must agree field-exactly with the classic
   // serial wave loop for every thread count. On the reliable medium the
   // engine records sends per part and replays them serially; with a
-  // transport policy it runs the partitioned program inline; both must be
+  // transport policy it runs the serial loop itself; both must be
   // invisible in every aggregate bit.
   constexpr int kRuns = 4;
   for (GridCase& grid_case : ConfigGrid()) {

@@ -7,16 +7,14 @@ Runs the given bench binary (argv[1], e.g. build/bench/fig6_vary_n) at a
 reduced scale four ways —
 
   1. plain (the historical single-shot invocation),
-  2. --profile (stage profile + perf::StageCollector installed),
+  2. --profile (stage profile: wall clock and thread CPU time),
   3. --reps=3 --warmup=1 (repetition harness engaged),
   4. --profile --reps=3 --warmup=1 (everything at once)
 
-— and fails unless all four stdouts are byte-identical. Every harness,
-counter, and allocation artifact must ride on stderr or in the --profile
-JSON; a byte of drift on stdout means a figure reproduction would depend
-on how it was measured. The same invariant holds for a WSNQ_PERF_ALLOC=ON
-build (the perf-alloc CMake preset), where this leg runs with the hooks
-compiled in.
+— and fails unless all four stdouts are byte-identical. Every harness and
+profile artifact must ride on stderr or in the --profile JSON; a byte of
+drift on stdout means a figure reproduction would depend on how it was
+measured.
 """
 
 import os

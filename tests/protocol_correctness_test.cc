@@ -67,7 +67,7 @@ TEST_P(ProtocolSweepTest, ExactEveryRound) {
   Network* net = scenario.value().network.get();
   for (int64_t round = 0; round <= config.rounds; ++round) {
     net->BeginRound();
-    const auto values = scenario.value().ValuesByVertex(round);
+    const auto values = scenario.value().ValuesView(round);
     protocol->RunRound(net, values, round);
     const auto sensors = SensorValues(*net, values);
     ASSERT_EQ(protocol->quantile(), OracleKth(sensors, scenario.value().k))

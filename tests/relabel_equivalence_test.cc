@@ -18,56 +18,12 @@
 #include "core/metrics.h"
 #include "core/scenario.h"
 #include "core/simulation.h"
+#include "tests/test_scenario.h"
 
 namespace wsnq {
 namespace {
 
-bool SameBits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void ExpectResultsIdentical(const SimulationResult& tree,
-                            const SimulationResult& placement,
-                            const std::string& context) {
-  EXPECT_TRUE(SameBits(tree.mean_max_round_energy_mj,
-                       placement.mean_max_round_energy_mj))
-      << context;
-  EXPECT_TRUE(SameBits(tree.lifetime_rounds, placement.lifetime_rounds))
-      << context;
-  EXPECT_TRUE(SameBits(tree.mean_packets, placement.mean_packets)) << context;
-  EXPECT_TRUE(SameBits(tree.mean_values, placement.mean_values)) << context;
-  EXPECT_TRUE(SameBits(tree.mean_refinements, placement.mean_refinements))
-      << context;
-  EXPECT_TRUE(SameBits(tree.mean_rank_error, placement.mean_rank_error))
-      << context;
-  EXPECT_EQ(tree.errors, placement.errors) << context;
-  EXPECT_EQ(tree.max_rank_error, placement.max_rank_error) << context;
-  EXPECT_EQ(tree.rounds, placement.rounds) << context;
-
-  ASSERT_EQ(tree.trail.size(), placement.trail.size()) << context;
-  for (size_t i = 0; i < tree.trail.size(); ++i) {
-    const RoundRecord& a = tree.trail[i];
-    const RoundRecord& b = placement.trail[i];
-    const std::string at = context + " round " + std::to_string(i);
-    EXPECT_EQ(a.quantile, b.quantile) << at;
-    EXPECT_TRUE(SameBits(a.max_round_energy_mj, b.max_round_energy_mj)) << at;
-    EXPECT_EQ(a.packets, b.packets) << at;
-    EXPECT_EQ(a.values, b.values) << at;
-    EXPECT_EQ(a.refinements, b.refinements) << at;
-    EXPECT_EQ(a.correct, b.correct) << at;
-    EXPECT_EQ(a.rank_error, b.rank_error) << at;
-  }
-
-  const std::vector<MetricsRegistry::Row> a = tree.metrics.Rows();
-  const std::vector<MetricsRegistry::Row> b = placement.metrics.Rows();
-  ASSERT_EQ(a.size(), b.size()) << context;
-  EXPECT_FALSE(a.empty()) << context;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].metric, b[i].metric) << context;
-    EXPECT_TRUE(SameBits(a[i].value, b[i].value))
-        << context << " metric " << a[i].metric;
-  }
-}
+using testing_support::ExpectResultsIdentical;
 
 struct Case {
   std::string name;
@@ -223,8 +179,8 @@ TEST(RelabelEquivalence, ScenarioRowsFollowTheirVertices) {
     ASSERT_EQ(a.num_vertices(), b.num_vertices()) << c.name;
     EXPECT_EQ(a.external_id(a.root()), b.root()) << c.name;
     EXPECT_EQ(tree.value().k, placement.value().k) << c.name;
-    const std::vector<int64_t> rows_a = tree.value().ValuesByVertex(3);
-    const std::vector<int64_t> rows_b = placement.value().ValuesByVertex(3);
+    const std::vector<int64_t> rows_a = tree.value().ValuesView(3);
+    const std::vector<int64_t> rows_b = placement.value().ValuesView(3);
     for (int v = 0; v < a.num_vertices(); ++v) {
       const int e = a.external_id(v);
       EXPECT_EQ(b.external_id(e), e) << c.name;

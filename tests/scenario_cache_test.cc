@@ -2,9 +2,9 @@
 // hit/miss accounting through the Prepare/seal lifecycle, aliasing of the
 // shared-immutable artifacts across runs and sweep points (including under
 // the ThreadPool), and — the load-bearing property — bit-identical
-// scenarios and aggregates with the cache on, off, and at any thread
-// count. Runs under the tsan CI job with WSNQ_SCENARIO_CACHE=1 so the
-// sealed read-only lookup phase is race-checked.
+// scenarios, protocol replays and traces against BuildScenario with no
+// store, at any thread count. The tsan CI job runs it, so the sealed
+// read-only lookup phase is race-checked.
 
 #include <algorithm>
 #include <cstdint>
@@ -22,15 +22,18 @@
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "core/scenario_cache.h"
+#include "core/simulation.h"
 #include "tests/test_scenario.h"
+#include "util/mutex.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
+#include "util/trace.h"
 
 namespace wsnq {
 namespace {
 
-using testing_support::ScopedEnv;
+using testing_support::ExpectResultsIdentical;
 
 SimulationConfig SmallSynthetic() {
   SimulationConfig config;
@@ -63,7 +66,7 @@ void ExpectScenariosIdentical(const Scenario& a, const Scenario& b,
   EXPECT_EQ(a.source->range_min(), b.source->range_min()) << context;
   EXPECT_EQ(a.source->range_max(), b.source->range_max()) << context;
   for (int64_t round = 0; round <= rounds; ++round) {
-    EXPECT_EQ(a.ValuesByVertex(round), b.ValuesByVertex(round))
+    EXPECT_EQ(a.ValuesView(round), b.ValuesView(round))
         << context << " round=" << round;
   }
 }
@@ -230,17 +233,6 @@ TEST(ScenarioCacheTest, PrepareReportsFirstFailingRunStatus) {
   ASSERT_FALSE(uncached.ok());
   EXPECT_EQ(prepared.code(), uncached.status().code());
   EXPECT_EQ(prepared.message(), uncached.status().message());
-}
-
-TEST(ScenarioCacheTest, EnabledReadsEnvironment) {
-  {
-    ScopedEnv env("WSNQ_SCENARIO_CACHE", "0");
-    EXPECT_FALSE(ScenarioCache::Enabled());
-  }
-  {
-    ScopedEnv env("WSNQ_SCENARIO_CACHE", "1");
-    EXPECT_TRUE(ScenarioCache::Enabled());
-  }
 }
 
 // --- Sharing --------------------------------------------------------------
@@ -514,14 +506,17 @@ TEST(ScenarioCacheTest, CachedScenarioIdenticalToUncached) {
 
 TEST(ScenarioCacheTest, MaterializedValuesMatchLazyRows) {
   auto scenario = BuildScenario(SmallSynthetic(), 0);
+  auto lazy = BuildScenario(SmallSynthetic(), 0);
   ASSERT_TRUE(scenario.ok());
+  ASSERT_TRUE(lazy.ok());
   Scenario& s = scenario.value();
   EXPECT_EQ(s.materialized_rounds(), 0);
   s.MaterializeValues(8);
   EXPECT_EQ(s.materialized_rounds(), 8);
+  EXPECT_EQ(lazy.value().materialized_rounds(), 0);
   for (int64_t round = 0; round < 11; ++round) {
     // Rounds past the materialized prefix exercise the scratch-row path.
-    EXPECT_EQ(s.ValuesView(round), s.ValuesByVertex(round))
+    EXPECT_EQ(s.ValuesView(round), lazy.value().ValuesView(round))
         << "round " << round;
   }
 }
@@ -551,20 +546,87 @@ void ExpectAggregateListsIdentical(
   }
 }
 
-TEST(ScenarioCacheDeterminism, RunExperimentIdenticalCacheOnAndOff) {
-  for (SimulationConfig config : {SmallSynthetic(), SmallPressure()}) {
-    config.threads = 1;
-    std::vector<AlgorithmAggregate> off;
-    {
-      ScopedEnv env("WSNQ_SCENARIO_CACHE", "0");
-      auto result = RunExperiment(config, PaperAlgorithms(), 4);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      off = std::move(result).value();
+/// Gilbert–Elliott loss with ARQ, plus crashes that recover under tree
+/// repair: the transport policy's per-link state rides on the per-run
+/// Network, never on a cached artifact.
+SimulationConfig Faulted(SimulationConfig config) {
+  config.fault.loss = 0.12;
+  config.fault.loss_model = LossModel::kGilbertElliott;
+  config.fault.burst_len = 3.0;
+  config.fault.arq.enabled = true;
+  config.fault.crash_nodes = 3;
+  config.fault.crash_round = 2;
+  config.fault.crash_len = 4;
+  config.fault.repair = true;
+  return config;
+}
+
+/// Replays every paper protocol over `scenario` the way a RunExperiment
+/// run does (one trace buffer for the whole run), keeping trails and
+/// metrics so every field can be compared.
+std::vector<SimulationResult> ReplayPaperProtocols(
+    Scenario& scenario, const SimulationConfig& config,
+    trace::TraceBuffer* buffer) {
+  trace::RunScope trace_scope(buffer);
+  scenario.MaterializeValues(config.rounds + 1);
+  scenario.MaterializeSortedSensors();
+  std::vector<SimulationResult> results;
+  for (AlgorithmKind kind : PaperAlgorithms()) {
+    auto protocol = MakeProtocol(kind, scenario.k,
+                                 scenario.source->range_min(),
+                                 scenario.source->range_max(), config.wire);
+    results.push_back(RunSimulation(scenario, protocol.get(), config.rounds,
+                                    /*check_oracle=*/true,
+                                    /*keep_trail=*/true,
+                                    /*collect_metrics=*/true));
+  }
+  return results;
+}
+
+std::string TraceBytes(const trace::TraceBuffer& buffer) {
+  trace::TraceSink sink("unused.jsonl");
+  ScopedSerialPhase fold_phase(FoldPhase());
+  sink.Fold(buffer);
+  return sink.SerializeJsonl();
+}
+
+// The uncached reference: every run's replay over BuildScenario(config,
+// run) with no store must match the replay over a prepared cache in every
+// SimulationResult field and metric, and in every trace byte.
+TEST(ScenarioCacheDeterminism, ReplayOverCacheMatchesUncachedBuild) {
+  constexpr int kRuns = 3;
+  const std::pair<const char*, SimulationConfig> cases[] = {
+      {"synthetic", SmallSynthetic()},
+      {"synthetic faulted", Faulted(SmallSynthetic())},
+      {"pressure", SmallPressure()},
+      {"pressure faulted", Faulted(SmallPressure())},
+  };
+  for (const auto& [name, config] : cases) {
+    ScenarioCache cache;
+    ASSERT_TRUE(cache.Prepare(config, kRuns).ok()) << name;
+    for (int run = 0; run < kRuns; ++run) {
+      const std::string where =
+          std::string(name) + " run " + std::to_string(run);
+      auto uncached = BuildScenario(config, run);
+      auto cached = cache.Build(config, run);
+      ASSERT_TRUE(uncached.ok()) << where;
+      ASSERT_TRUE(cached.ok()) << where;
+      trace::TraceBuffer uncached_trace(run);
+      trace::TraceBuffer cached_trace(run);
+      const std::vector<SimulationResult> expected =
+          ReplayPaperProtocols(uncached.value(), config, &uncached_trace);
+      const std::vector<SimulationResult> actual =
+          ReplayPaperProtocols(cached.value(), config, &cached_trace);
+      ASSERT_EQ(expected.size(), actual.size()) << where;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ExpectResultsIdentical(
+            expected[i], actual[i],
+            where + " " + AlgorithmName(PaperAlgorithms()[i]));
+      }
+      ASSERT_FALSE(uncached_trace.empty()) << where;
+      EXPECT_EQ(TraceBytes(uncached_trace), TraceBytes(cached_trace))
+          << where;
     }
-    ScopedEnv env("WSNQ_SCENARIO_CACHE", "1");
-    auto on = RunExperiment(config, PaperAlgorithms(), 4);
-    ASSERT_TRUE(on.ok()) << on.status().ToString();
-    ExpectAggregateListsIdentical(off, on.value(), "cache on/off");
   }
 }
 

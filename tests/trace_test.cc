@@ -222,7 +222,7 @@ TEST(ProfTest, WallClockAndSamples) {
   EXPECT_GE(t1, t0);
   prof::Enable();
   EXPECT_TRUE(prof::Enabled());
-  prof::AddSample("test/stage", 0.001);
+  prof::AddSample("test/stage", 0.001, 0.0005);
   {
     prof::ScopedTimer timer("test/timer");
   }

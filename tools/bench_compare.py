@@ -165,14 +165,6 @@ def main():
         if verdict == "regression":
             regressions.append(f"micro {name}: {delta:+.1f}%")
 
-    old_speedup = old.get("fig10_scenario_cache", {}).get(
-        "scenario_build_speedup")
-    new_speedup = new.get("fig10_scenario_cache", {}).get(
-        "scenario_build_speedup")
-    if old_speedup is not None and new_speedup is not None:
-        print(f"\nfig10 scenario-build speedup: {old_speedup}x -> "
-              f"{new_speedup}x (informational)")
-
     if not gate:
         print("\ncross-machine compare: regressions not gated")
         return 0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Records a performance snapshot of the tree as BENCH_<date>.json (schema 2).
 
-Five measurements, deliberately cheap enough to run on every perf-relevant
+Four measurements, deliberately cheap enough to run on every perf-relevant
 PR (a couple of minutes on one core):
 
   * the micro primitive benchmarks (build/bench/micro_primitives,
@@ -18,16 +18,6 @@ PR (a couple of minutes on one core):
     scale — the same stack with the fault subsystem hot (Gilbert/iid link
     chains, ARQ retransmission loops), so reliability-path regressions
     are visible separately from the lossless baseline;
-  * the fig10 pressure sweep (build/bench/fig10_pressure) run twice, with
-    WSNQ_SCENARIO_CACHE=0 and =1, parsing the --profile stage report —
-    scenario-construction seconds (experiment/build_scenario plus, cached,
-    experiment/prepare_cache) and total wall clock for both, with the
-    cache-off/cache-on construction ratio recorded as the speedup the
-    scenario cache (core/scenario_cache.h) is buying. Stage names follow
-    core/experiment.cc: the per-run serial fold reports as
-    "experiment/fold" and the cross-run parallel fold as
-    "experiment/sweep_fold" (historical snapshots before the split merged
-    both under "experiment/fold");
   * one serving-latency run (build/tools/wsnq_served + wsnq_loadgen over
     loopback at --serve-subs concurrent subscriptions, default 100k) —
     subscribe-ack and round-push p50/p99 plus push throughput for the
@@ -45,10 +35,12 @@ Schema 2 additions over the historical v1 snapshots:
   * per-bench robust statistics from the "# bench" stderr line emitted by
     bench/bench_common.h: {reps, warmup, median_s, mad_s, min_s, max_s,
     mean_s, cv} next to the single-shot wall_s;
-  * per-stage profile entries now carry min_s/max_s and, where the host
-    grants perf_event_open, hardware-counter and allocation deltas
-    (src/perf/stage_collector.h) — every "key=value" field of the
-    "# profile" line is kept.
+  * per-stage profile entries carry min_s/max_s and cpu_s, the thread CPU
+    time prof::ScopedTimer reads — every "key=value" field of the
+    "# profile" line is kept. Stage names follow core/experiment.cc: the
+    per-run serial fold reports as "experiment/fold" and the cross-run
+    parallel fold as "experiment/sweep_fold" (snapshots before the split
+    merged both under "experiment/fold").
 
 Snapshots are committed next to each other at the repo root. Compare two
 with tools/bench_compare.py, which gates noise-aware (k·MAD) and exits
@@ -82,8 +74,8 @@ TIMING_RE = re.compile(
     r"runs=(?P<runs>\d+) wall_s=(?P<wall_s>[0-9.]+)")
 
 # "# bench ..." and "# profile ..." lines are free-form key=value; parse
-# them generically so new fields (counters, allocs) flow into the snapshot
-# without a tool change.
+# them generically so new fields flow into the snapshot without a tool
+# change.
 _NUMBER_RE = re.compile(r"^-?\d+$")
 _FLOAT_RE = re.compile(r"^-?\d+\.\d+(e-?\d+)?$")
 
@@ -95,9 +87,7 @@ def parse_kv_line(line):
         if "=" not in token:
             continue
         key, value = token.split("=", 1)
-        if value == "null":  # a counter the host did not provide
-            fields[key] = None
-        elif _NUMBER_RE.match(value):
+        if _NUMBER_RE.match(value):
             fields[key] = int(value)
         elif _FLOAT_RE.match(value):
             fields[key] = float(value)
@@ -172,7 +162,7 @@ def collect_metadata(build_dir):
         "cxx_flags": cache.get("CMAKE_CXX_FLAGS", ""),
         "options": {
             name: cache.get(name, "")
-            for name in ("WSNQ_PERF_ALLOC", "WSNQ_SANITIZE", "WSNQ_WERROR")
+            for name in ("WSNQ_SANITIZE", "WSNQ_WERROR")
         },
         "git_rev": git_revision(),
     }
@@ -204,8 +194,7 @@ def run_sweep(build_dir, bench_name, runs, rounds, reps, warmup):
 
     Parses the "# timing" footer (single-shot wall clock, reproducible
     against v1 snapshots), the "# bench" robust statistics, and the
-    "# profile" per-stage report (with counter/alloc deltas where the
-    host provides them)."""
+    "# profile" per-stage report (wall clock and thread CPU time)."""
     binary = os.path.join(build_dir, "bench", bench_name)
     env = dict(os.environ, WSNQ_RUNS=str(runs), WSNQ_ROUNDS=str(rounds))
     out = subprocess.run(
@@ -236,43 +225,6 @@ def run_sweep(build_dir, bench_name, runs, rounds, reps, warmup):
         "cv": stats.get("cv"),
         "stages": parse_profile_stages(out.stderr),
     }
-
-
-def run_fig10_cache_leg(build_dir, runs, rounds, cache):
-    """Runs fig10_pressure once with the scenario cache on or off.
-
-    Returns total wall clock (summed over the bench's per-sweep timing
-    footers) and the scenario-construction seconds from the cumulative
-    --profile stage report (the last report per stage is the process
-    total; prepare_cache only exists on the cached path)."""
-    binary = os.path.join(build_dir, "bench", "fig10_pressure")
-    env = dict(os.environ, WSNQ_RUNS=str(runs), WSNQ_ROUNDS=str(rounds),
-               WSNQ_SCENARIO_CACHE=cache)
-    out = subprocess.run([binary, "--threads=1", "--profile"], check=True,
-                         capture_output=True, text=True, env=env)
-    footers = list(TIMING_RE.finditer(out.stderr))
-    if not footers:
-        raise RuntimeError(
-            f"no '# timing' footer in {binary} stderr:\n{out.stderr}")
-    stages = parse_profile_stages(out.stderr)
-    build_s = stages.get("experiment/build_scenario", {}).get("total_s", 0.0)
-    build_s += stages.get("experiment/prepare_cache", {}).get("total_s", 0.0)
-    return {
-        "runs": runs,
-        "rounds": rounds,
-        "wall_s": round(sum(float(m.group("wall_s")) for m in footers), 3),
-        "scenario_build_s": build_s,
-        "stages": stages,
-    }
-
-
-def run_fig10_cache_compare(build_dir, runs, rounds):
-    off = run_fig10_cache_leg(build_dir, runs, rounds, "0")
-    on = run_fig10_cache_leg(build_dir, runs, rounds, "1")
-    speedup = (off["scenario_build_s"] / on["scenario_build_s"]
-               if on["scenario_build_s"] > 0 else None)
-    return {"cache_off": off, "cache_on": on,
-            "scenario_build_speedup": round(speedup, 2) if speedup else None}
 
 
 def parse_tagged_line(text, tag):
@@ -377,8 +329,6 @@ def main():
                                     args.runs, args.rounds, args.reps,
                                     args.warmup),
         }
-        fig10 = run_fig10_cache_compare(args.build_dir, args.runs,
-                                        args.rounds)
         serve = None
         if args.serve_subs > 0:
             serve = run_serve(args.build_dir, args.serve_subs,
@@ -392,8 +342,7 @@ def main():
         return 1
 
     snapshot = {"schema": SCHEMA_VERSION, "date": date, "metadata": metadata,
-                "micro": micro, "benches": benches,
-                "fig10_scenario_cache": fig10}
+                "micro": micro, "benches": benches}
     if serve is not None:
         snapshot["serve"] = serve
     with open(out_path, "w", encoding="utf-8") as f:
@@ -406,8 +355,6 @@ def main():
                       f"p99={serve['loadgen']['push_p99_ms']}ms")
     print(f"wrote {out_path} (fig6 median_s={benches['fig6']['median_s']}, "
           f"loss_sweep median_s={benches['loss_sweep']['median_s']}, "
-          f"fig10 scenario-build speedup="
-          f"{fig10['scenario_build_speedup']}x, "
           f"{len(micro['benchmarks'])} micro benchmarks{serve_note})")
     return 0
 

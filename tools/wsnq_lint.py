@@ -20,17 +20,18 @@ allowlist of sanctioned files or dir/ prefixes)
                   observe threads, they don't spawn them.)
   raw-clock       No clock reads (steady/system/high_resolution_clock::now,
                   clock_gettime, gettimeofday, timespec_get) outside
-                  src/util/trace.cc (prof::WallSeconds) and bench/
+                  src/util/trace.cc (prof::WallSeconds and the
+                  ScopedTimer's thread CPU clock) and bench/
                   (wall-clock sweep footers). Wall clock in simulation or
                   protocol code would leak non-determinism into results
                   and traces; time through prof::WallSeconds (util/trace.h)
                   so profiling stays gated and auditable.
   perf-syscall    No perf_event_open / perf_event_attr / PERF_EVENT_IOC /
-                  PERF_COUNT_ / raw syscall() / <linux/perf_event.h> outside
-                  src/perf/ — the sole sanctioned home of hardware-counter
-                  plumbing (perf/counters.h). Scattered counter syscalls
-                  would bypass the graceful EPERM fallback and the
-                  per-stage attribution the perf observatory guarantees.
+                  PERF_COUNT_ / raw syscall() / <linux/perf_event.h>
+                  anywhere. Profiling reads wall clock and thread CPU time
+                  through prof::ScopedTimer (util/trace.h), which needs no
+                  counter privileges and so never reports a counter that
+                  could not open as 0.
   const-cast      No const_cast or std::const_pointer_cast anywhere.
                   Scenario artifacts (radio graphs, traces, value sources)
                   are shared const across runs and sweep points by
@@ -452,8 +453,7 @@ SRC_LAYERS = ("util", "perf", "net", "data", "fault", "sketch", "algo",
               "core", "mc", "serve")
 LAYER_ALLOWED: Dict[str, set] = {
     "util": {"util"},
-    # The measurement layer sits beside the stack: it observes through the
-    # prof::StageObserver seam in util/trace.h, and nothing under src/
+    # The measurement layer sits beside the stack: nothing under src/
     # except serve may include perf/ (simulation results must not depend
     # on how they are measured). bench/tests/tools reach it via the
     # top-level rule below.
@@ -625,13 +625,12 @@ RULES: Dict[str, Rule] = {
         refs=re.compile(r"\b(steady|system|high_resolution)_clock::now$"),
         calls=re.compile(
             r"^(std::)?(clock_gettime|gettimeofday|timespec_get)$")),
-    # The only legitimate raw syscall() in this tree is perf_event_open's
-    # (no glibc wrapper exists), and that lives in src/perf/counters.cc.
+    # No file is allowlisted: nothing in the tree opens counters or makes a
+    # raw syscall().
     "perf-syscall": Rule(
-        "hardware counters go through perf::CounterSet (perf/counters.h) — "
-        "src/perf/ is the sole sanctioned home of perf_event_open, so "
-        "EPERM fallback and per-stage attribution stay uniform",
-        allow=("src/perf/",),
+        "profile through prof::ScopedTimer (util/trace.h), which reads wall "
+        "clock and thread CPU time; perf_event counters and raw syscall() "
+        "are banned everywhere",
         included=re.compile(r'#\s*include\s*[<"]linux/perf_event\.h[>"]'),
         refs=re.compile(
             r"perf_event_open|perf_event_attr|PERF_EVENT_IOC|PERF_COUNT_"),

@@ -36,8 +36,8 @@
 //   --trace=PATH            structured event trace (.jsonl = JSONL, else
 //                           Chrome/Perfetto JSON)
 //   --metrics=PATH          long-format metrics CSV (docs/observability.md)
-//   --profile[=PATH]        wall-clock stage profile to stderr (and JSON
-//                           when a PATH is given)
+//   --profile[=PATH]        stage profile (wall clock and thread CPU
+//                           time) to stderr, and JSON when a PATH is given
 
 #include <cstdio>
 #include <memory>
@@ -51,7 +51,6 @@
 #include "core/scenario.h"
 #include "core/simulation.h"
 #include "fault/fault_cli.h"
-#include "perf/stage_collector.h"
 #include "util/flags.h"
 #include "util/mutex.h"
 #include "util/trace.h"
@@ -234,11 +233,6 @@ int main(int argc, char** argv) {
 
   if (!profile_path.empty()) {
     prof::Enable();
-    // Attach hardware-counter / allocation accounting to the prof:: spans
-    // (src/perf/stage_collector.h); the status line reports whether this
-    // host grants perf_event_open. Stderr only — stdout stays
-    // deterministic.
-    std::fprintf(stderr, "%s\n", perf::InstallStageCollector().c_str());
   }
   if (!trace_path.empty()) {
     trace::InstallGlobalSink(trace_path);
