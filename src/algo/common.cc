@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "util/check.h"
 
@@ -40,153 +41,102 @@ void ValidationAgg::AddTransition(Region from, Region to, int64_t value) {
   }
 }
 
-std::vector<ValidationAgg>& WaveWorkspace::PrepareAggRows(size_t n,
-                                                          size_t rows) {
-  agg_.assign(n * rows, ValidationAgg{});
-  return agg_;
-}
-
-std::vector<std::vector<int64_t>>& WaveWorkspace::PrepareSets(size_t n) {
-  if (sets_.size() < n) sets_.resize(n);
-  for (size_t i = 0; i < n; ++i) sets_[i].clear();
-  return sets_;
-}
-
-std::vector<std::vector<int64_t>>& WaveWorkspace::PrepareWindows(size_t n) {
-  if (windows_.size() < n) windows_.resize(n);
-  for (size_t i = 0; i < n; ++i) windows_[i].clear();
-  return windows_;
-}
-
-std::vector<std::vector<std::pair<int, int64_t>>>&
-WaveWorkspace::PrepareDeltas(size_t n) {
-  if (deltas_.size() < n) deltas_.resize(n);
-  for (size_t i = 0; i < n; ++i) deltas_[i].clear();
-  return deltas_;
-}
-
-void WaveWorkspace::PrepareHist(size_t n, size_t buckets) {
-  if (hist_.size() < n * buckets) hist_.resize(n * buckets);
-  if (hist_epoch_.size() < n || hist_buckets_ != buckets) {
-    // Row stride changed: existing epochs refer to other row offsets.
-    hist_epoch_.assign(std::max(hist_epoch_.size(), n), 0);
-    hist_wave_ = 0;
+size_t MergeCountsInto(BucketCount* row, size_t len,
+                       std::span<const BucketCount> child,
+                       std::vector<BucketCount>* scratch) {
+  if (child.empty()) return len;
+  if (len == 0) {
+    if (child.data() != row) std::copy(child.begin(), child.end(), row);
+    return child.size();
   }
-  hist_buckets_ = buckets;
-  hist_total_.assign(n, 0);
-  ++hist_wave_;
-}
-
-int64_t* WaveWorkspace::HistRow(int v) {
-  const size_t row = static_cast<size_t>(v);
-  int64_t* data = hist_.data() + row * hist_buckets_;
-  if (hist_epoch_[row] != hist_wave_) {
-    std::fill(data, data + hist_buckets_, 0);
-    hist_epoch_[row] = hist_wave_;
+  scratch->assign(child.begin(), child.end());
+  // Merge from the back, as MergeRowInto does. Every dropped zero sum
+  // leaves the write cursor one further ahead of the unread part of `row`,
+  // so the merged tail is moved down over the gap afterwards.
+  const BucketCount* a = row + len;
+  const BucketCount* b = scratch->data() + scratch->size();
+  BucketCount* const end = row + len + child.size();
+  BucketCount* out = end;
+  while (b != scratch->data()) {
+    if (a != row && (a - 1)->first > (b - 1)->first) {
+      *--out = *--a;
+    } else if (a != row && (a - 1)->first == (b - 1)->first) {
+      --a;
+      --b;
+      const int64_t sum = a->second + b->second;
+      if (sum != 0) *--out = {a->first, sum};
+    } else {
+      *--out = *--b;
+    }
   }
-  return data;
+  BucketCount* const kept = row + (a - row);
+  if (out != kept) std::copy(out, end, kept);
+  return static_cast<size_t>(kept - row) + static_cast<size_t>(end - out);
 }
 
 namespace {
 
-/// Ops for CollectKSmallest: rows hold each subtree's sorted k-smallest
-/// multiset (with k-th ties); a node always uplinks its row.
-struct CollectKOps {
+/// Ops for the sorted value collections: v's row is the sorted (by `cmp`)
+/// multiset of its subtree's values inside [lo, hi], truncated to `limit`
+/// entries plus ties of the limit-th when limit > 0. A node uplinks iff its
+/// row is non-empty.
+template <typename Cmp>
+struct SortedCollectOps {
   Network* net;
   const std::vector<int64_t>& values;
-  int64_t k;
+  int64_t lo;
+  int64_t hi;
+  int64_t limit;
   const WireFormat& wire;
-  std::vector<std::vector<int64_t>>& inbox;
+  SlabRows<int64_t>& rows;
+  Cmp cmp;
 
   WaveSend Process(int v, WaveLane& lane) {
-    std::vector<int64_t>& mine = inbox[static_cast<size_t>(v)];
-    if (!net->is_root(v)) mine.push_back(values[static_cast<size_t>(v)]);
+    int64_t* row = rows.row(v);
+    size_t len = 0;
+    const auto merge = [&](std::span<const int64_t> in) {
+      len = MergeRowInto(row, len, in, &lane.scratch, cmp);
+      // Truncate after every merge so the running row never exceeds
+      // limit + ties (see TruncatedWithTies).
+      if (limit > 0) len = TruncatedWithTies(row, len, limit);
+    };
     for (int child : net->tree().children[static_cast<size_t>(v)]) {
-      // Truncate to the k smallest (plus k-th ties) after every child so
-      // the running list never exceeds k + ties (see MergeTruncatedInto).
-      MergeTruncatedInto(&mine, &inbox[static_cast<size_t>(child)],
-                         &lane.scratch, k, std::less<int64_t>());
+      merge(rows.Row(child));
     }
-    TruncateWithTies(&mine, k);
+    if (!net->is_root(v)) {
+      const int64_t& value = values[static_cast<size_t>(v)];
+      if (value >= lo && value <= hi) merge({&value, 1});
+    }
+    rows.len(v) = len;
     WaveSend send;
-    send.payload_bits = static_cast<int64_t>(mine.size()) * wire.value_bits;
-    send.value_count = static_cast<int64_t>(mine.size());
+    if (len > 0) {
+      send.payload_bits = static_cast<int64_t>(len) * wire.value_bits;
+      send.value_count = static_cast<int64_t>(len);
+    }
     return send;
   }
   void OnLost(int v) {
-    inbox[static_cast<size_t>(v)].clear();  // parent never sees the subtree
+    rows.len(v) = 0;  // the parent never sees the subtree
   }
 };
 
-/// Ops for RangeValuesConvergecast: rows hold the sorted in-range values of
-/// each subtree; a node uplinks iff its row is non-empty.
-struct RangeValuesOps {
-  Network* net;
-  const std::vector<int64_t>& values;
-  int64_t lo;
-  int64_t hi;
-  const WireFormat& wire;
-  std::vector<std::vector<int64_t>>& inbox;
-
-  WaveSend Process(int v, WaveLane& lane) {
-    std::vector<int64_t>& mine = inbox[static_cast<size_t>(v)];
-    if (!net->is_root(v)) {
-      const int64_t value = values[static_cast<size_t>(v)];
-      if (value >= lo && value <= hi) mine.push_back(value);
-    }
-    for (int child : net->tree().children[static_cast<size_t>(v)]) {
-      MergeSortedInto(&mine, &inbox[static_cast<size_t>(child)],
-                      &lane.scratch, std::less<int64_t>());
-    }
-    WaveSend send;
-    if (!mine.empty()) {
-      send.payload_bits = static_cast<int64_t>(mine.size()) * wire.value_bits;
-      send.value_count = static_cast<int64_t>(mine.size());
-    }
-    return send;
-  }
-  void OnLost(int v) { inbox[static_cast<size_t>(v)].clear(); }
-};
-
-/// Ops for TopFConvergecast: rows ordered most-extreme-first (descending
-/// when collecting the largest), truncated to f plus ties of the f-th.
-struct TopFOps {
-  Network* net;
-  const std::vector<int64_t>& values;
-  int64_t lo;
-  int64_t hi;
-  int64_t f;
-  bool largest;
-  const WireFormat& wire;
-  std::vector<std::vector<int64_t>>& inbox;
-
-  WaveSend Process(int v, WaveLane& lane) {
-    std::vector<int64_t>& mine = inbox[static_cast<size_t>(v)];
-    if (!net->is_root(v)) {
-      const int64_t value = values[static_cast<size_t>(v)];
-      if (value >= lo && value <= hi) mine.push_back(value);
-    }
-    for (int child : net->tree().children[static_cast<size_t>(v)]) {
-      // Per-child truncation to the f most extreme (plus f-th ties); see
-      // MergeTruncatedInto for why this cannot change the final list.
-      if (largest) {
-        MergeTruncatedInto(&mine, &inbox[static_cast<size_t>(child)],
-                           &lane.scratch, f, std::greater<int64_t>());
-      } else {
-        MergeTruncatedInto(&mine, &inbox[static_cast<size_t>(child)],
-                           &lane.scratch, f, std::less<int64_t>());
-      }
-    }
-    TruncateWithTies(&mine, f);
-    WaveSend send;
-    if (!mine.empty()) {
-      send.payload_bits = static_cast<int64_t>(mine.size()) * wire.value_bits;
-      send.value_count = static_cast<int64_t>(mine.size());
-    }
-    return send;
-  }
-  void OnLost(int v) { inbox[static_cast<size_t>(v)].clear(); }
-};
+/// Runs one sorted collection wave and returns the root's row.
+template <typename Cmp>
+std::vector<int64_t> SortedCollect(Network* net,
+                                   const std::vector<int64_t>& values,
+                                   int64_t lo, int64_t hi, int64_t limit,
+                                   const WireFormat& wire, WaveWorkspace* ws,
+                                   Cmp cmp) {
+  WSNQ_CHECK_EQ(values.size(), static_cast<size_t>(net->num_vertices()));
+  WaveWorkspace fallback;
+  if (ws == nullptr) ws = &fallback;
+  SlabRows<int64_t>& rows = ws->values();
+  rows.Fit(net->tree());
+  SortedCollectOps<Cmp> ops{net, values, lo, hi, limit, wire, rows, cmp};
+  RunConvergecastWave(net, ops);
+  const std::span<const int64_t> root = rows.Row(net->root());
+  return {root.begin(), root.end()};
+}
 
 }  // namespace
 
@@ -195,14 +145,9 @@ std::vector<int64_t> CollectKSmallest(Network* net,
                                       int64_t k, const WireFormat& wire,
                                       WaveWorkspace* ws) {
   WSNQ_CHECK_GE(k, 1);
-  const size_t n = static_cast<size_t>(net->num_vertices());
-  WSNQ_CHECK_EQ(values.size(), n);
-  WaveWorkspace fallback;
-  if (ws == nullptr) ws = &fallback;
-  std::vector<std::vector<int64_t>>& inbox = ws->PrepareSets(n);
-  CollectKOps ops{net, values, k, wire, inbox};
-  RunConvergecastWave(net, ops);
-  const std::vector<int64_t>& result = inbox[static_cast<size_t>(net->root())];
+  std::vector<int64_t> result = SortedCollect(
+      net, values, std::numeric_limits<int64_t>::min(),
+      std::numeric_limits<int64_t>::max(), k, wire, ws, std::less<int64_t>());
   WSNQ_DCHECK(std::is_sorted(result.begin(), result.end()));
   if (!net->lossy()) {
     // Lossless collection is complete up to rank k.
@@ -215,13 +160,8 @@ std::vector<int64_t> CollectKSmallest(Network* net,
 std::vector<int64_t> RangeValuesConvergecast(
     Network* net, const std::vector<int64_t>& values, int64_t lo, int64_t hi,
     const WireFormat& wire, WaveWorkspace* ws) {
-  const size_t n = static_cast<size_t>(net->num_vertices());
-  WaveWorkspace fallback;
-  if (ws == nullptr) ws = &fallback;
-  std::vector<std::vector<int64_t>>& inbox = ws->PrepareSets(n);
-  RangeValuesOps ops{net, values, lo, hi, wire, inbox};
-  RunConvergecastWave(net, ops);
-  std::vector<int64_t> result = inbox[static_cast<size_t>(net->root())];
+  std::vector<int64_t> result = SortedCollect(
+      net, values, lo, hi, /*limit=*/0, wire, ws, std::less<int64_t>());
   WSNQ_DCHECK(std::is_sorted(result.begin(), result.end()));
   return result;
 }
@@ -232,14 +172,14 @@ std::vector<int64_t> TopFConvergecast(Network* net,
                                       bool largest, const WireFormat& wire,
                                       WaveWorkspace* ws) {
   WSNQ_CHECK_GE(f, 1);
-  const size_t n = static_cast<size_t>(net->num_vertices());
-  WaveWorkspace fallback;
-  if (ws == nullptr) ws = &fallback;
-  std::vector<std::vector<int64_t>>& inbox = ws->PrepareSets(n);
-  TopFOps ops{net, values, lo, hi, f, largest, wire, inbox};
-  RunConvergecastWave(net, ops);
-  std::vector<int64_t> result = inbox[static_cast<size_t>(net->root())];
-  std::sort(result.begin(), result.end());
+  if (!largest) {
+    return SortedCollect(net, values, lo, hi, f, wire, ws,
+                         std::less<int64_t>());
+  }
+  // Rows run most-extreme-first; the root's comes back ascending.
+  std::vector<int64_t> result = SortedCollect(net, values, lo, hi, f, wire,
+                                              ws, std::greater<int64_t>());
+  std::reverse(result.begin(), result.end());
   return result;
 }
 

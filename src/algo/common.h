@@ -3,19 +3,21 @@
 // TAG-style k-limited collection used for initialization.
 //
 // All convergecast helpers run on the net/wave.h engine: per-vertex state
-// lives in struct-of-arrays rows of a WaveWorkspace (flat arrays indexed by
-// vertex, the ValuesView idiom extended to protocol state), so a wave is a
-// tight linear sweep over post order — serially, or partitioned over
-// subtrees when a WaveExecutor is installed. Each protocol owns one
-// workspace; row capacities persist across rounds, so steady-state waves
+// lives in the flat rows of a WaveWorkspace — fixed-size aggregates indexed
+// by vertex, and variable-length rows (value collections, histograms) in
+// post-order slabs of one arena per row kind — so a wave is a tight linear
+// sweep over post order, serially or partitioned over subtrees when a
+// WaveExecutor is installed. Each protocol owns one workspace; its arenas
+// are O(n), fit the tree once, and are never cleared, so steady-state waves
 // allocate nothing.
 
 #ifndef WSNQ_ALGO_COMMON_H_
 #define WSNQ_ALGO_COMMON_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -87,115 +89,157 @@ struct ValidationAgg {
   void AddTransition(Region from, Region to, int64_t value);
 };
 
-/// Reusable struct-of-arrays rows for the convergecast hot loops, indexed
-/// by vertex. One workspace per protocol instance; a wave's Prepare* call
-/// resets the rows it needs while keeping their heap capacity, so repeated
-/// waves allocate nothing once warm. Distinct row families back waves that
-/// nest (a refinement convergecast issued while a validation wave's root
-/// row is still being consumed), and subtree-parallel parts write disjoint
-/// vertex rows, so no locking is needed anywhere.
+/// Convergecast rows stored in post-order slabs. Every subtree is a
+/// contiguous range of the tree's post order (SpanningTree::subtree_begin),
+/// and no row ever holds more entries than its subtree has vertices, so
+/// vertex v's row fits in the slab of positions [subtree_begin[v],
+/// subtree_begin[v] + size(v)), scaled by `stride` entries per position. A
+/// child's slab is a sub-range of its parent's, the first child's starting
+/// where the parent's does. Rows of disjoint subtrees therefore never
+/// overlap, so subtree-parallel parts need no locking; the arena is O(n);
+/// and since Process(v) writes v's row and length before anything reads
+/// them, no row is cleared between waves. `ranks` independent copies of the
+/// arena back waves that carry one row per tracked rank.
+template <typename T>
+class SlabRows {
+ public:
+  /// Points the rows at `tree`'s slabs; grows the arena if the tree needs
+  /// more room than any earlier wave, and never clears it.
+  void Fit(const SpanningTree& tree, size_t stride = 1, size_t ranks = 1) {
+    begin_ = tree.subtree_begin.data();
+    stride_ = stride;
+    ranks_ = ranks;
+    rank_span_ = stride * tree.post_order.size();
+    if (data_.size() < ranks * rank_span_) data_.resize(ranks * rank_span_);
+    if (len_.size() < ranks * tree.parent.size()) {
+      len_.resize(ranks * tree.parent.size());
+    }
+  }
+
+  /// First entry of v's row (and slab) for `rank`.
+  T* row(int v, size_t rank = 0) { return data_.data() + Offset(v, rank); }
+  /// Entries in v's row for `rank`; Process(v) sets it.
+  size_t& len(int v, size_t rank = 0) {
+    return len_[static_cast<size_t>(v) * ranks_ + rank];
+  }
+  /// v's row as written by its last Process.
+  std::span<const T> Row(int v, size_t rank = 0) const {
+    return {data_.data() + Offset(v, rank),
+            len_[static_cast<size_t>(v) * ranks_ + rank]};
+  }
+
+  size_t reserved_bytes() const {
+    return data_.capacity() * sizeof(T) + len_.capacity() * sizeof(size_t);
+  }
+
+ private:
+  size_t Offset(int v, size_t rank) const {
+    return rank * rank_span_ +
+           stride_ * static_cast<size_t>(begin_[static_cast<size_t>(v)]);
+  }
+
+  std::vector<T> data_;
+  std::vector<size_t> len_;
+  const int* begin_ = nullptr;
+  size_t stride_ = 1;
+  size_t ranks_ = 1;
+  size_t rank_span_ = 0;
+};
+
+/// One (bucket, count) entry of a sparse histogram or delta row.
+using BucketCount = std::pair<int, int64_t>;
+
+/// The reusable rows of one protocol instance's convergecasts. Distinct row
+/// families back waves that nest (a refinement convergecast issued while a
+/// validation wave's root windows are still being consumed). Nothing is
+/// reset between waves: every Process(v) overwrites v's own row first.
 class WaveWorkspace {
  public:
-  /// `n` ValidationAgg rows, reset to empty.
+  /// `n` ValidationAgg rows, resized but not cleared.
   std::vector<ValidationAgg>& PrepareAgg(size_t n) {
     return PrepareAggRows(n, 1);
   }
   /// Flat (n × rows) ValidationAgg matrix for multi-rank waves.
-  std::vector<ValidationAgg>& PrepareAggRows(size_t n, size_t rows);
-
-  /// `n` value-collection rows, all cleared. Used by the k-limited /
-  /// range / top-f collections.
-  std::vector<std::vector<int64_t>>& PrepareSets(size_t n);
-
-  /// A second, independent family of value rows for window membership (IQ /
-  /// multi-quantile), so a refinement collection can run while root windows
-  /// are still being consumed.
-  std::vector<std::vector<int64_t>>& PrepareWindows(size_t n);
-
-  /// `n` sparse (bucket, delta) rows, all cleared (LCLL validation).
-  std::vector<std::vector<std::pair<int, int64_t>>>& PrepareDeltas(size_t n);
-
-  /// Histogram arena of `n` rows × `buckets` counts. Rows start logically
-  /// zero and are zeroed lazily on first HistRow touch; per-row totals
-  /// (maintained by the caller through HistTotal) start at zero, so a row
-  /// whose total is 0 is never read and never needs zeroing.
-  void PrepareHist(size_t n, size_t buckets);
-  /// The bucket row of vertex `v`, zeroed on first touch this wave.
-  int64_t* HistRow(int v);
-  int64_t& HistTotal(int v) { return hist_total_[static_cast<size_t>(v)]; }
-  int64_t HistTotal(int v) const {
-    return hist_total_[static_cast<size_t>(v)];
+  std::vector<ValidationAgg>& PrepareAggRows(size_t n, size_t rows) {
+    if (agg_.size() < n * rows) agg_.resize(n * rows);
+    return agg_;
   }
-  size_t hist_buckets() const { return hist_buckets_; }
+
+  /// Sorted value rows of the k-limited / range / top-f collections.
+  SlabRows<int64_t>& values() { return values_; }
+  /// Window rows of IQ / multi-quantile validation (one per rank).
+  SlabRows<int64_t>& windows() { return windows_; }
+  /// Sorted (bucket, count) histogram rows.
+  SlabRows<BucketCount>& hist() { return hist_; }
+  /// Sorted (bucket, delta) rows of LCLL validation, two entries per vertex.
+  SlabRows<BucketCount>& deltas() { return deltas_; }
+
+  /// Heap bytes held by every row family: bounded by a fixed multiple of
+  /// the vertex count, and unchanged by further waves over the same tree.
+  size_t reserved_bytes() const {
+    return agg_.capacity() * sizeof(ValidationAgg) + values_.reserved_bytes() +
+           windows_.reserved_bytes() + hist_.reserved_bytes() +
+           deltas_.reserved_bytes();
+  }
 
  private:
   std::vector<ValidationAgg> agg_;
-  std::vector<std::vector<int64_t>> sets_;
-  std::vector<std::vector<int64_t>> windows_;
-  std::vector<std::vector<std::pair<int, int64_t>>> deltas_;
-
-  std::vector<int64_t> hist_;
-  std::vector<int64_t> hist_total_;
-  std::vector<uint64_t> hist_epoch_;
-  uint64_t hist_wave_ = 0;
-  size_t hist_buckets_ = 0;
+  SlabRows<int64_t> values_;
+  SlabRows<int64_t> windows_;
+  SlabRows<BucketCount> hist_;
+  SlabRows<BucketCount> deltas_;
 };
 
-/// Merges sorted `child` into sorted `mine` (ordered by `cmp`) through
-/// `scratch`, leaving `child` empty with its capacity retained for
-/// workspace reuse. Equal values keep their relative grouping, so the
-/// result is the same sequence a concatenate-then-sort would produce.
+/// Merges the sorted `child` row (ordered by `cmp`) into the sorted row
+/// `row[0, len)` and returns the merged length. `row` must have room for
+/// len + child.size() entries, and `child` may lie in that room only at or
+/// after row + len — as a later sibling's slab does. The child is copied to
+/// `scratch`, then the two merge from the back, so the entries of `row`
+/// that sort before every child entry are never moved.
 template <typename Cmp>
-void MergeSortedInto(std::vector<int64_t>* mine, std::vector<int64_t>* child,
-                     std::vector<int64_t>* scratch, Cmp cmp) {
-  if (child->empty()) return;
-  if (mine->empty()) {
-    mine->swap(*child);
-    return;
+size_t MergeRowInto(int64_t* row, size_t len, std::span<const int64_t> child,
+                    std::vector<int64_t>* scratch, Cmp cmp) {
+  if (child.empty()) return len;
+  if (len == 0) {
+    // The first child's row already starts where v's does.
+    if (child.data() != row) std::copy(child.begin(), child.end(), row);
+    return child.size();
   }
-  // A handful of child elements binary-insert cheaper than rewriting all of
-  // `mine`; upper_bound lands each one after its ties, exactly where
-  // std::merge (which copies `mine` first on equality) would put it.
-  constexpr size_t kTinyChild = 8;
-  if (child->size() <= kTinyChild) {
-    for (const int64_t x : *child) {
-      mine->insert(std::upper_bound(mine->begin(), mine->end(), x, cmp), x);
+  scratch->assign(child.begin(), child.end());
+  const int64_t* a = row + len;
+  const int64_t* b = scratch->data() + scratch->size();
+  int64_t* out = row + len + child.size();
+  while (b != scratch->data()) {
+    if (a != row && cmp(*(b - 1), *(a - 1))) {
+      *--out = *--a;
+    } else {
+      *--out = *--b;
     }
-    child->clear();
-    return;
   }
-  scratch->clear();
-  scratch->reserve(mine->size() + child->size());
-  std::merge(mine->begin(), mine->end(), child->begin(), child->end(),
-             std::back_inserter(*scratch), cmp);
-  mine->swap(*scratch);
-  child->clear();
+  return len + child.size();
 }
 
-/// Truncates `sorted` (ordered by its wave's comparator) to its first
-/// `limit` entries plus all duplicates of the limit-th entry.
-inline void TruncateWithTies(std::vector<int64_t>* sorted, int64_t limit) {
-  if (static_cast<int64_t>(sorted->size()) <= limit) return;
-  const int64_t cutoff = (*sorted)[static_cast<size_t>(limit - 1)];
+/// MergeRowInto for sparse (bucket, count) rows sorted by bucket: counts of
+/// equal buckets add, and an entry whose count sums to zero is dropped, so
+/// the result is the same whatever order rows merge in.
+size_t MergeCountsInto(BucketCount* row, size_t len,
+                       std::span<const BucketCount> child,
+                       std::vector<BucketCount>* scratch);
+
+/// The length of sorted `row[0, len)` (ordered by its wave's comparator)
+/// truncated to its first `limit` entries plus all duplicates of the
+/// limit-th entry. Truncating after every merge (not just once per vertex)
+/// is exactness-preserving: an element beyond the limit-th entry of any
+/// intermediate superset compares strictly after the final cutoff, so
+/// merge-everything-then-truncate would drop it too. It keeps the running
+/// row bounded by limit + ties, which keeps high-fanout merges linear.
+inline size_t TruncatedWithTies(const int64_t* row, size_t len,
+                                int64_t limit) {
+  if (static_cast<int64_t>(len) <= limit) return len;
+  const int64_t cutoff = row[static_cast<size_t>(limit - 1)];
   size_t keep = static_cast<size_t>(limit);
-  while (keep < sorted->size() && (*sorted)[keep] == cutoff) ++keep;
-  sorted->resize(keep);
-}
-
-/// MergeSortedInto followed by TruncateWithTies(limit). Truncating after
-/// every merge (not just once per vertex) is exactness-preserving: an
-/// element beyond the limit-th entry of any intermediate superset compares
-/// strictly after the final cutoff, so merge-everything-then-truncate
-/// would drop it too. It keeps the running list bounded by limit + ties,
-/// which turns the high-fanout merge cascade from quadratic in the child
-/// count into linear.
-template <typename Cmp>
-void MergeTruncatedInto(std::vector<int64_t>* mine,
-                        std::vector<int64_t>* child,
-                        std::vector<int64_t>* scratch, int64_t limit,
-                        Cmp cmp) {
-  MergeSortedInto(mine, child, scratch, cmp);
-  TruncateWithTies(mine, limit);
+  while (keep < len && row[keep] == cutoff) ++keep;
+  return keep;
 }
 
 /// Applies aggregated movement counters to root counts (l and g move by the
@@ -294,6 +338,7 @@ ValidationAgg TransitionConvergecast(Network* net,
 
     WaveSend Process(int v, WaveLane& /*lane*/) {
       ValidationAgg& agg = inbox[static_cast<size_t>(v)];
+      agg = ValidationAgg{};
       if (!net->is_root(v)) {
         const auto [from, to] = classify(v);
         agg.AddTransition(from, to, values[static_cast<size_t>(v)]);

@@ -88,12 +88,17 @@ class SparseHistogram {
   std::vector<int64_t> counts_;
 };
 
+/// Wire size of a histogram over `buckets` buckets with `nonempty`
+/// non-empty ones: the cheaper of the dense and compressed encodings.
+int64_t HistogramBits(int64_t nonempty, int64_t buckets,
+                      const WireFormat& wire);
+
 /// Aggregates a histogram of all measurements inside `layout`'s interval at
-/// the root: every node buckets its own value (if in range), merges its
-/// children's histograms, and transmits iff the merged histogram is
-/// non-empty, paying the (possibly compressed) encoding size. Bucket rows
-/// live in `ws`'s flat histogram arena (lazily zeroed; zero-total subtrees
-/// are skipped entirely), so the wave is a linear sweep over post order.
+/// the root: every node merges its children's histograms, buckets its own
+/// value (if in range), and transmits iff the merged histogram is
+/// non-empty, paying the (possibly compressed) encoding size. Rows are
+/// sparse (bucket, count) lists in `ws`'s histogram slabs, so a subtree
+/// costs what its non-empty buckets cost.
 SparseHistogram HistogramConvergecast(Network* net,
                                       const std::vector<int64_t>& values,
                                       const BucketLayout& layout,

@@ -69,7 +69,8 @@ void IqProtocol::Initialize(Network* net,
 namespace {
 
 /// Ops for the windowed validation wave (§4.2.2): POS transition counters
-/// plus the multiset A of in-window values, in struct-of-arrays rows.
+/// plus the multiset A of in-window values, whose unsorted rows live in
+/// the workspace's window slabs.
 struct WindowValidationOps {
   Network* net;
   const std::vector<int64_t>& values;
@@ -80,11 +81,23 @@ struct WindowValidationOps {
   int64_t window_hi;
   int hint_values;
   std::vector<ValidationAgg>& inbox;
-  std::vector<std::vector<int64_t>>& a_inbox;
+  SlabRows<int64_t>& a_rows;
 
   WaveSend Process(int v, WaveLane& /*lane*/) {
     ValidationAgg& agg = inbox[static_cast<size_t>(v)];
-    std::vector<int64_t>& a_set = a_inbox[static_cast<size_t>(v)];
+    agg = ValidationAgg{};
+    int64_t* a_row = a_rows.row(v);
+    size_t a_len = 0;
+    for (int child : net->tree().children[static_cast<size_t>(v)]) {
+      agg.Merge(inbox[static_cast<size_t>(child)]);
+      // A is a multiset the root sorts, so rows just concatenate; the
+      // first child's row already starts where v's does.
+      const std::span<const int64_t> theirs = a_rows.Row(child);
+      if (theirs.data() != a_row + a_len) {
+        std::copy(theirs.begin(), theirs.end(), a_row + a_len);
+      }
+      a_len += theirs.size();
+    }
     if (!net->is_root(v)) {
       const size_t i = static_cast<size_t>(v);
       agg.AddTransition(ClassifyThreshold(prev_values[i], filter),
@@ -93,32 +106,23 @@ struct WindowValidationOps {
       // are shipped verbatim every round (§4.2.2).
       if (values[i] >= window_lo && values[i] <= window_hi &&
           values[i] != filter) {
-        a_set.push_back(values[i]);
+        a_row[a_len++] = values[i];
       }
     }
-    for (int child : net->tree().children[static_cast<size_t>(v)]) {
-      agg.Merge(inbox[static_cast<size_t>(child)]);
-      auto& theirs = a_inbox[static_cast<size_t>(child)];
-      if (a_set.empty()) {
-        a_set.swap(theirs);
-      } else {
-        a_set.insert(a_set.end(), theirs.begin(), theirs.end());
-        theirs.clear();
-      }
-    }
+    a_rows.len(v) = a_len;
     WaveSend send;
-    if (!agg.empty() || !a_set.empty()) {
+    if (!agg.empty() || a_len > 0) {
       send.payload_bits =
           4 * wire.counter_bits +
           (agg.has_hint ? hint_values * wire.value_bits : 0) +
-          static_cast<int64_t>(a_set.size()) * wire.value_bits;
-      send.value_count = static_cast<int64_t>(a_set.size());
+          static_cast<int64_t>(a_len) * wire.value_bits;
+      send.value_count = static_cast<int64_t>(a_len);
     }
     return send;
   }
   void OnLost(int v) {
     inbox[static_cast<size_t>(v)] = ValidationAgg{};  // lost uplink
-    a_inbox[static_cast<size_t>(v)].clear();
+    a_rows.len(v) = 0;
   }
 };
 
@@ -131,9 +135,10 @@ ValidationAgg IqProtocol::ValidationWithWindow(
   // contains the current filter value.
   WSNQ_DCHECK_LE(xi_l_, 0);
   WSNQ_DCHECK_GE(xi_r_, 0);
-  const size_t n = static_cast<size_t>(net->num_vertices());
-  std::vector<ValidationAgg>& inbox = ws_.PrepareAgg(n);
-  std::vector<std::vector<int64_t>>& a_inbox = ws_.PrepareWindows(n);
+  std::vector<ValidationAgg>& inbox =
+      ws_.PrepareAgg(static_cast<size_t>(net->num_vertices()));
+  SlabRows<int64_t>& a_rows = ws_.windows();
+  a_rows.Fit(net->tree());
   WindowValidationOps ops{net,
                           values,
                           prev_values_,
@@ -143,10 +148,9 @@ ValidationAgg IqProtocol::ValidationWithWindow(
                           filter_ + xi_r_,
                           options_.use_hints ? 1 : 0,
                           inbox,
-                          a_inbox};
+                          a_rows};
   RunConvergecastWave(net, ops);
-  const std::vector<int64_t>& root_a =
-      a_inbox[static_cast<size_t>(net->root())];
+  const std::span<const int64_t> root_a = a_rows.Row(net->root());
   window_values->assign(root_a.begin(), root_a.end());
   std::sort(window_values->begin(), window_values->end());
   return inbox[static_cast<size_t>(net->root())];

@@ -80,11 +80,12 @@ void LcllProtocol::Initialize(Network* net,
 
 void LcllProtocol::Validate(Network* net,
                             const std::vector<int64_t>& values) {
-  // inbox[v]: sparse (bucket id, signed delta) row of v's subtree, sorted
-  // by bucket id — the struct-of-arrays form of a per-vertex ordered map,
-  // merged bottom-up with a linear two-pointer sweep.
-  std::vector<std::vector<std::pair<int, int64_t>>>& inbox =
-      ws_.PrepareDeltas(static_cast<size_t>(net->num_vertices()));
+  // Row of v: the sparse (bucket id, signed delta) list of v's subtree,
+  // sorted by bucket id — the flat form of a per-vertex ordered map, merged
+  // bottom-up with a two-pointer sweep. A subtree of k changed values
+  // carries at most 2k entries, hence two slab entries per vertex.
+  SlabRows<BucketCount>& rows = ws_.deltas();
+  rows.Fit(net->tree(), /*stride=*/2);
 
   // Prescan: most rounds most values stay in their bucket, so the wave
   // below would do nothing at most vertices. One flat pass finds the
@@ -125,80 +126,51 @@ void LcllProtocol::Validate(Network* net,
   struct Ops {
     LcllProtocol* self;
     Network* net;
-    std::vector<std::vector<std::pair<int, int64_t>>>& inbox;
-    int64_t entry_bits;
-    int64_t dense_bits;
+    SlabRows<BucketCount>& rows;
+    int64_t buckets;
+    const WireFormat& wire;
 
     WaveSend Process(int v, WaveLane& lane) {
       const size_t i = static_cast<size_t>(v);
       if (!self->delta_dirty_[i]) return WaveSend{};
-      std::vector<std::pair<int, int64_t>>& deltas = inbox[i];
+      BucketCount* row = rows.row(v);
+      size_t len = 0;
+      for (int child : net->tree().children[i]) {
+        // A clean child skipped its Process; its row is stale, not empty.
+        if (!self->delta_dirty_[static_cast<size_t>(child)]) continue;
+        len = MergeCountsInto(row, len, rows.Row(child), &lane.pair_scratch);
+      }
       if (self->delta_changed_[i]) {
         const int from = self->delta_from_[i];
         const int to = self->prev_bucket_[i];  // prescan stored the new id
         // "The last bucket of the node is reduced by 1 ... the count of
         // the new bucket is increased by one" (§5.1.6).
-        if (from < to) {
-          deltas.emplace_back(from, -1);
-          deltas.emplace_back(to, 1);
-        } else {
-          deltas.emplace_back(to, 1);
-          deltas.emplace_back(from, -1);
-        }
+        const BucketCount own[2] = {
+            from < to ? BucketCount{from, -1} : BucketCount{to, 1},
+            from < to ? BucketCount{to, 1} : BucketCount{from, -1}};
+        len = MergeCountsInto(row, len, own, &lane.pair_scratch);
       }
-      for (int child : net->tree().children[static_cast<size_t>(v)]) {
-        std::vector<std::pair<int, int64_t>>& theirs =
-            inbox[static_cast<size_t>(child)];
-        if (theirs.empty()) continue;
-        if (deltas.empty()) {
-          deltas.swap(theirs);
-          continue;
-        }
-        std::vector<std::pair<int, int64_t>>& merged = lane.pair_scratch;
-        merged.clear();
-        merged.reserve(deltas.size() + theirs.size());
-        size_t a = 0;
-        size_t b = 0;
-        while (a < deltas.size() && b < theirs.size()) {
-          if (deltas[a].first < theirs[b].first) {
-            merged.push_back(deltas[a++]);
-          } else if (theirs[b].first < deltas[a].first) {
-            merged.push_back(theirs[b++]);
-          } else {
-            const int64_t sum = deltas[a].second + theirs[b].second;
-            if (sum != 0) merged.emplace_back(deltas[a].first, sum);
-            ++a;
-            ++b;
-          }
-        }
-        merged.insert(merged.end(), deltas.begin() + a, deltas.end());
-        merged.insert(merged.end(), theirs.begin() + b, theirs.end());
-        deltas.swap(merged);
-        theirs.clear();
-      }
+      rows.len(v) = len;
       WaveSend send;
-      if (!deltas.empty()) {
+      if (len > 0) {
         send.payload_bits =
-            std::min(static_cast<int64_t>(deltas.size()) * entry_bits,
-                     dense_bits);
+            HistogramBits(static_cast<int64_t>(len), buckets, wire);
       }
       return send;
     }
-    void OnLost(int v) { inbox[static_cast<size_t>(v)].clear(); }
+    void OnLost(int v) { rows.len(v) = 0; }
   };
-  Ops ops{this,
-          net,
-          inbox,
-          wire_.bucket_index_bits + wire_.bucket_count_bits,
-          static_cast<int64_t>(buckets_ + 2) * wire_.bucket_count_bits};
+  Ops ops{this, net, rows, static_cast<int64_t>(buckets_) + 2, wire_};
   RunConvergecastWave(net, ops);
-  for (const auto& [bucket, delta] : inbox[static_cast<size_t>(net->root())]) {
-    if (bucket < 0) {
-      below_ += delta;
-    } else if (bucket >= buckets_) {
-      above_ += delta;
-    } else {
-      hist_[static_cast<size_t>(bucket)] += delta;
+  if (delta_dirty_[root]) {
+    for (const auto& [bucket, delta] : rows.Row(net->root())) {
+      if (bucket < 0) {
+        below_ += delta;
+      } else if (bucket >= buckets_) {
+        above_ += delta;
+      } else {
+        hist_[static_cast<size_t>(bucket)] += delta;
+      }
     }
   }
   if (net->lossy()) {
@@ -229,62 +201,53 @@ void LcllProtocol::Reestablish(Network* net,
   net->FloodFromRoot(2 * wire_.bound_bits);
   ++refinements_;
 
-  // Full-network histogram convergecast over the b + 2 logical buckets,
-  // accumulated in the workspace's flat histogram arena (rows are zeroed
-  // lazily; a subtree whose total is zero is never read, so lost subtrees
-  // cost nothing).
-  const size_t logical = static_cast<size_t>(buckets_) + 2;
-  ws_.PrepareHist(static_cast<size_t>(net->num_vertices()), logical);
+  // Full-network histogram convergecast over the b + 2 logical buckets
+  // (below the window, b window buckets, above it), as sparse rows in the
+  // workspace's histogram slabs.
+  const int logical = buckets_ + 2;
+  SlabRows<BucketCount>& rows = ws_.hist();
+  rows.Fit(net->tree());
   struct Ops {
     LcllProtocol* self;
     Network* net;
     const std::vector<int64_t>& values;
-    WaveWorkspace* ws;
-    size_t logical;
-    int64_t entry_bits;
-    int64_t dense_bits;
+    SlabRows<BucketCount>& rows;
+    int logical;
+    const WireFormat& wire;
 
-    WaveSend Process(int v, WaveLane& /*lane*/) {
-      int64_t total = 0;
-      int64_t* row = nullptr;
-      if (!net->is_root(v)) {
-        row = ws->HistRow(v);
-        ++row[static_cast<size_t>(
-            self->BucketId(values[static_cast<size_t>(v)]) + 1)];
-        total = 1;
-      }
+    WaveSend Process(int v, WaveLane& lane) {
+      BucketCount* row = rows.row(v);
+      size_t len = 0;
       for (int child : net->tree().children[static_cast<size_t>(v)]) {
-        const int64_t child_total = ws->HistTotal(child);
-        if (child_total == 0) continue;
-        const int64_t* theirs = ws->HistRow(child);
-        if (row == nullptr) row = ws->HistRow(v);
-        for (size_t i = 0; i < logical; ++i) row[i] += theirs[i];
-        total += child_total;
+        len = MergeCountsInto(row, len, rows.Row(child), &lane.pair_scratch);
       }
-      ws->HistTotal(v) = total;
       WaveSend send;
       if (!net->is_root(v)) {
-        int64_t nonempty = 0;
-        for (size_t i = 0; i < logical; ++i) nonempty += (row[i] != 0);
-        send.payload_bits = std::min(nonempty * entry_bits, dense_bits);
+        const BucketCount own{
+            self->BucketId(values[static_cast<size_t>(v)]) + 1, 1};
+        len = MergeCountsInto(row, len, {&own, 1}, &lane.pair_scratch);
+        send.payload_bits =
+            HistogramBits(static_cast<int64_t>(len), logical, wire);
       }
+      rows.len(v) = len;
       return send;
     }
-    void OnLost(int v) { ws->HistTotal(v) = 0; }
+    void OnLost(int v) { rows.len(v) = 0; }
   };
-  Ops ops{this,
-          net,
-          values,
-          &ws_,
-          logical,
-          wire_.bucket_index_bits + wire_.bucket_count_bits,
-          static_cast<int64_t>(logical) * wire_.bucket_count_bits};
+  Ops ops{this, net, values, rows, logical, wire_};
   RunConvergecastWave(net, ops);
-  const int64_t* root_hist = ws_.HistRow(net->root());
-  below_ = root_hist[0];
-  above_ = root_hist[logical - 1];
-  hist_.assign(root_hist + 1, root_hist + (logical - 1));
-  WSNQ_CHECK_EQ(static_cast<int>(hist_.size()), buckets_);
+  below_ = 0;
+  above_ = 0;
+  hist_.assign(static_cast<size_t>(buckets_), 0);
+  for (const auto& [bucket, count] : rows.Row(net->root())) {
+    if (bucket == 0) {
+      below_ = count;
+    } else if (bucket == logical - 1) {
+      above_ = count;
+    } else {
+      hist_[static_cast<size_t>(bucket - 1)] = count;
+    }
+  }
 }
 
 void LcllProtocol::Slip(Network* net, const std::vector<int64_t>& values,

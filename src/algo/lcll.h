@@ -65,6 +65,8 @@ class LcllProtocol : public QuantileProtocol {
   int64_t bucket_width() const { return width_; }
   int64_t window_lo() const { return window_lo_; }
   int64_t window_hi() const { return window_lo_ + span(); }
+  /// The convergecast rows this instance reuses from round to round.
+  const WaveWorkspace& workspace() const { return ws_; }
 
  private:
   int64_t span() const { return static_cast<int64_t>(buckets_) * width_; }

@@ -67,69 +67,67 @@ void MultiIqProtocol::RunRound(Network* net,
   WSNQ_CHECK_EQ(prev_values_.size(), values_by_vertex.size());
 
   // --- Shared validation convergecast ------------------------------------
-  // aggs[v * m + j] / windows[v * m + j]: rank j's aggregate and window
-  // multiset of v's subtree, as flat workspace rows. The windows family is
-  // independent of the collection rows, so the per-rank refinements issued
-  // below can run while the root windows are still being consumed.
+  // aggs[v * m + j] / windows.Row(v, j): rank j's aggregate and window
+  // multiset of v's subtree. The window slabs are independent of the
+  // collection rows, so the per-rank refinements issued below can run
+  // while the root windows are still being consumed.
   const size_t m = ks_.size();
   const size_t vertices = static_cast<size_t>(net->num_vertices());
   std::vector<ValidationAgg>& aggs = ws_.PrepareAggRows(vertices, m);
-  std::vector<std::vector<int64_t>>& windows =
-      ws_.PrepareWindows(vertices * m);
+  SlabRows<int64_t>& windows = ws_.windows();
+  windows.Fit(net->tree(), /*stride=*/1, /*ranks=*/m);
   struct Ops {
     MultiIqProtocol* self;
     Network* net;
     const std::vector<int64_t>& values;
     std::vector<ValidationAgg>& aggs;
-    std::vector<std::vector<int64_t>>& windows;
+    SlabRows<int64_t>& windows;
     size_t m;
 
     WaveSend Process(int v, WaveLane& /*lane*/) {
       const size_t base = static_cast<size_t>(v) * m;
-      if (!net->is_root(v)) {
-        const size_t i = static_cast<size_t>(v);
-        for (size_t j = 0; j < m; ++j) {
+      const auto children = net->tree().children[static_cast<size_t>(v)];
+      int64_t payload = static_cast<int64_t>(m);  // per-rank presence bitmap
+      int64_t window_values = 0;
+      bool any = false;
+      for (size_t j = 0; j < m; ++j) {
+        ValidationAgg& agg = aggs[base + j];
+        agg = ValidationAgg{};
+        int64_t* window = windows.row(v, j);
+        size_t len = 0;
+        for (int child : children) {
+          agg.Merge(aggs[static_cast<size_t>(child) * m + j]);
+          // Windows are multisets the root sorts: rows concatenate, and
+          // the first child's row already starts where v's does.
+          const std::span<const int64_t> theirs = windows.Row(child, j);
+          if (theirs.data() != window + len) {
+            std::copy(theirs.begin(), theirs.end(), window + len);
+          }
+          len += theirs.size();
+        }
+        if (!net->is_root(v)) {
+          const size_t i = static_cast<size_t>(v);
           const RankState& state = self->states_[j];
-          aggs[base + j].AddTransition(
+          agg.AddTransition(
               ClassifyThreshold(self->prev_values_[i], state.filter),
               ClassifyThreshold(values[i], state.filter), values[i]);
           if (values[i] >= state.filter + state.xi_l &&
               values[i] <= state.filter + state.xi_r &&
               values[i] != state.filter) {
-            windows[base + j].push_back(values[i]);
+            window[len++] = values[i];
           }
         }
-      }
-      for (int child : net->tree().children[static_cast<size_t>(v)]) {
-        const size_t child_base = static_cast<size_t>(child) * m;
-        for (size_t j = 0; j < m; ++j) {
-          aggs[base + j].Merge(aggs[child_base + j]);
-          std::vector<int64_t>& theirs = windows[child_base + j];
-          if (theirs.empty()) continue;
-          std::vector<int64_t>& mine = windows[base + j];
-          if (mine.empty()) {
-            mine.swap(theirs);
-          } else {
-            mine.insert(mine.end(), theirs.begin(), theirs.end());
-            theirs.clear();
-          }
-        }
-      }
-      int64_t payload = static_cast<int64_t>(m);  // per-rank presence bitmap
-      int64_t window_values = 0;
-      bool any = false;
-      for (size_t j = 0; j < m; ++j) {
-        if (!aggs[base + j].empty()) {
+        windows.len(v, j) = len;
+        if (!agg.empty()) {
           payload += 4 * self->wire_.counter_bits +
-                     (aggs[base + j].has_hint && self->options_.use_hints
+                     (agg.has_hint && self->options_.use_hints
                           ? self->wire_.value_bits
                           : 0);
           any = true;
         }
-        if (!windows[base + j].empty()) {
-          payload += static_cast<int64_t>(windows[base + j].size()) *
-                     self->wire_.value_bits;
-          window_values += static_cast<int64_t>(windows[base + j].size());
+        if (len > 0) {
+          payload += static_cast<int64_t>(len) * self->wire_.value_bits;
+          window_values += static_cast<int64_t>(len);
           any = true;
         }
       }
@@ -144,7 +142,7 @@ void MultiIqProtocol::RunRound(Network* net,
       const size_t base = static_cast<size_t>(v) * m;
       for (size_t j = 0; j < m; ++j) {
         aggs[base + j] = ValidationAgg{};
-        windows[base + j].clear();
+        windows.len(v, j) = 0;
       }
     }
   };
@@ -153,11 +151,12 @@ void MultiIqProtocol::RunRound(Network* net,
   prev_values_ = values_by_vertex;
 
   // --- Per-rank resolution -------------------------------------------------
-  const size_t root_base = static_cast<size_t>(net->root()) * m;
+  const int root = net->root();
+  const size_t root_base = static_cast<size_t>(root) * m;
   std::vector<int64_t> new_filters(m);
   bool any_changed = false;
   for (size_t j = 0; j < m; ++j) {
-    std::vector<int64_t>& window = windows[root_base + j];
+    const std::span<int64_t> window(windows.row(root, j), windows.len(root, j));
     std::sort(window.begin(), window.end());
     const int64_t q = ResolveRank(net, values_by_vertex, &states_[j], window,
                                   aggs[root_base + j]);
@@ -182,7 +181,7 @@ void MultiIqProtocol::RunRound(Network* net,
 int64_t MultiIqProtocol::ResolveRank(Network* net,
                                      const std::vector<int64_t>& values,
                                      RankState* state,
-                                     const std::vector<int64_t>& window,
+                                     std::span<const int64_t> window,
                                      const ValidationAgg& validation) {
   const int64_t n = net->num_sensors();
   const int64_t k = state->k;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "algo/common.h"
@@ -66,7 +67,7 @@ class MultiIqProtocol {
   /// Root-side IQ case analysis for one rank, given its sorted window
   /// multiset and the validation hint; may run one refinement.
   int64_t ResolveRank(Network* net, const std::vector<int64_t>& values,
-                      RankState* state, const std::vector<int64_t>& window,
+                      RankState* state, std::span<const int64_t> window,
                       const ValidationAgg& validation);
   void PushDelta(RankState* state, int64_t delta);
 

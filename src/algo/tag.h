@@ -30,6 +30,9 @@ class TagProtocol : public QuantileProtocol {
   int64_t quantile() const override { return quantile_; }
   RootCounts root_counts() const override { return counts_; }
 
+  /// The convergecast rows this instance reuses from round to round.
+  const WaveWorkspace& workspace() const { return ws_; }
+
  private:
   int64_t k_;
   WireFormat wire_;

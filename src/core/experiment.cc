@@ -49,6 +49,14 @@ void FoldRun(const SimulationResult& result, AlgorithmAggregate* agg)
   if (!result.metrics.empty()) agg->metrics.Merge(result.metrics);
 }
 
+/// Folds one run's trace buffer into `sink` (in run order, like FoldRun)
+/// and frees its events: a file sink has written them out already.
+void FoldAndRelease(trace::TraceSink* sink, trace::TraceBuffer* buffer)
+    WSNQ_REQUIRES(FoldPhase()) {
+  sink->Fold(*buffer);
+  *buffer = trace::TraceBuffer(buffer->run());
+}
+
 /// Builds run `run`'s scenario and replays every factory's protocol over
 /// it, writing one result per factory into `results` (pre-sized). The
 /// factories of one run share the scenario's Network, so they execute
@@ -144,6 +152,9 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
     // a time; aborts on the first scenario failure.
     std::vector<SimulationResult> results(factories.size());
     for (int run = 0; run < runs; ++run) {
+      // Each run is the next to fold, on this thread: its buffer can spill
+      // into the sink as it fills.
+      if (sink != nullptr) buffers[static_cast<size_t>(run)].SpillTo(sink);
       Status status = ExecuteRun(config, factories, run, &results,
                                  buffer_for(run), cache, wave_threads);
       if (!status.ok()) return status;
@@ -154,7 +165,9 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
       for (size_t i = 0; i < factories.size(); ++i) {
         FoldRun(results[i], &aggregates[i]);
       }
-      if (sink != nullptr) sink->Fold(buffers[static_cast<size_t>(run)]);
+      if (sink != nullptr) {
+        FoldAndRelease(sink, &buffers[static_cast<size_t>(run)]);
+      }
     }
     return aggregates;
   }
@@ -185,7 +198,9 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
     for (size_t i = 0; i < factories.size(); ++i) {
       FoldRun(results[static_cast<size_t>(run)][i], &aggregates[i]);
     }
-    if (sink != nullptr) sink->Fold(buffers[static_cast<size_t>(run)]);
+    if (sink != nullptr) {
+      FoldAndRelease(sink, &buffers[static_cast<size_t>(run)]);
+    }
   }
   return aggregates;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <utility>
 
 #include "fault/fault_key.h"
 #include "net/geometry.h"
@@ -116,23 +115,7 @@ SpanningTree RepairTree(const RadioGraph& graph, int root,
   // holds one level, so the lists come out in ascending external id.
   tree.children = ChildLists(tree.parent, order);
 
-  tree.pre_order.reserve(order.size());
-  tree.post_order.reserve(order.size());
-  std::vector<std::pair<int, size_t>> stack;  // (vertex, next child index)
-  stack.emplace_back(root, 0);
-  tree.pre_order.push_back(root);
-  while (!stack.empty()) {
-    auto& [v, idx] = stack.back();
-    const auto& kids = tree.children[static_cast<size_t>(v)];
-    if (idx < kids.size()) {
-      const int child = kids[idx++];
-      tree.pre_order.push_back(child);
-      stack.emplace_back(child, 0);
-    } else {
-      tree.post_order.push_back(v);
-      stack.pop_back();
-    }
-  }
+  FillTraversalOrders(&tree);
   WSNQ_CHECK_EQ(tree.post_order.size(), order.size());
   return tree;
 }

@@ -32,34 +32,33 @@ std::vector<int> BfsDepths(const RadioGraph& graph, int root) {
   return depth;
 }
 
-// Fills children lists and pre/post orders from root + parent array.
-void FinalizeTree(SpanningTree* tree) {
-  const int n = tree->size();
-  tree->children = ChildLists(tree->parent);  // every list ascending
+}  // namespace
 
+void FillTraversalOrders(SpanningTree* tree) {
   tree->pre_order.clear();
   tree->post_order.clear();
-  tree->pre_order.reserve(static_cast<size_t>(n));
-  tree->post_order.reserve(static_cast<size_t>(n));
+  tree->pre_order.reserve(tree->parent.size());
+  tree->post_order.reserve(tree->parent.size());
+  tree->subtree_begin.assign(tree->parent.size(), -1);
   std::vector<std::pair<int, size_t>> stack;  // (vertex, next child index)
-  stack.emplace_back(tree->root, 0);
-  tree->pre_order.push_back(tree->root);
+  const auto enter = [&](int v) {
+    tree->pre_order.push_back(v);
+    tree->subtree_begin[static_cast<size_t>(v)] =
+        static_cast<int>(tree->post_order.size());
+    stack.emplace_back(v, 0);
+  };
+  enter(tree->root);
   while (!stack.empty()) {
     auto& [v, idx] = stack.back();
     const auto& kids = tree->children[static_cast<size_t>(v)];
     if (idx < kids.size()) {
-      const int child = kids[idx++];
-      tree->pre_order.push_back(child);
-      stack.emplace_back(child, 0);
+      enter(kids[idx++]);
     } else {
       tree->post_order.push_back(v);
       stack.pop_back();
     }
   }
-  WSNQ_CHECK_EQ(static_cast<int>(tree->post_order.size()), n);
 }
-
-}  // namespace
 
 ChildLists::ChildLists(const std::vector<int>& parent,
                        std::span<const int> order) {
@@ -177,7 +176,9 @@ StatusOr<SpanningTree> BuildRoutingTree(const RadioGraph& graph, int root,
     }
   }
 
-  FinalizeTree(&tree);
+  tree.children = ChildLists(tree.parent);  // every list ascending
+  FillTraversalOrders(&tree);
+  WSNQ_CHECK_EQ(static_cast<int>(tree.post_order.size()), n);
   return tree;
 }
 
@@ -205,6 +206,7 @@ RoutingTopology RelabelToPostOrder(const RadioGraph& graph,
   out.depth.resize(static_cast<size_t>(n));
   out.post_order.resize(static_cast<size_t>(n));
   out.pre_order.resize(static_cast<size_t>(n));
+  out.subtree_begin.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     const size_t at = static_cast<size_t>(i);
     const size_t old = static_cast<size_t>(tree.post_order[at]);
@@ -212,6 +214,9 @@ RoutingTopology RelabelToPostOrder(const RadioGraph& graph,
     out.depth[at] = tree.depth[old];
     out.post_order[at] = i;
     out.pre_order[at] = rename(tree.pre_order[at]);
+    // A subtree's first post-order index does not depend on vertex names;
+    // under the new ones it is i - size(i) + 1.
+    out.subtree_begin[at] = tree.subtree_begin[old];
   }
   // Post order numbers a vertex's children in list order, so ascending
   // new ids keep every list's order.

@@ -63,10 +63,22 @@ struct SpanningTree {
   /// Vertices in pre order (every parent precedes its children); the natural
   /// schedule for broadcasts.
   std::vector<int> pre_order;
+  /// subtree_begin[v]: the post_order index of the first vertex of v's
+  /// subtree, so the subtree is post_order[subtree_begin[v] ..] up to and
+  /// including v itself, and the subtree of every child of v is a sub-range
+  /// of it. Convergecast rows (algo/common.h) live in these ranges. -1 for
+  /// vertices outside post_order (detached by fault/tree_repair.h).
+  std::vector<int> subtree_begin;
 
   int size() const { return static_cast<int>(parent.size()); }
   bool IsLeaf(int v) const { return children[static_cast<size_t>(v)].empty(); }
 };
+
+/// Fills `tree`'s pre_order, post_order and subtree_begin from its root and
+/// children lists with one depth-first walk that visits children in list
+/// order. Vertices the walk does not reach (detached ones) appear in
+/// neither order and get subtree_begin -1.
+void FillTraversalOrders(SpanningTree* tree);
 
 /// Builds the shortest-path tree of `graph` rooted at `root`.
 /// Fails if the graph is not connected.
@@ -102,7 +114,8 @@ struct RoutingTopology {
 /// Renumbers `graph` and its spanning `tree` (which must reach every
 /// vertex) so that the tree's post order becomes 0..n-1: new vertex i is
 /// old vertex tree.post_order[i], every subtree of v is the id range
-/// [v - size(v) + 1, v], and the root is n - 1. Children keep their
+/// [subtree_begin[v], v] with subtree_begin[v] = v - size(v) + 1, and the
+/// root is n - 1. Children keep their
 /// relative order, so every traversal visits the same vertices in the same
 /// sequence as before, under new names. The graph remembers the original
 /// ids (RadioGraph::external_id). O(V + E).

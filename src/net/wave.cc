@@ -14,6 +14,11 @@ constexpr size_t kMaxSplitDepth = 16;
 
 }  // namespace
 
+WaveLane& CallerLane() {
+  thread_local WaveLane lane;
+  return lane;
+}
+
 SubtreeCut ComputeSubtreeCut(const SpanningTree& tree, int target_parts) {
   SubtreeCut cut;
   const size_t order = tree.post_order.size();

@@ -68,6 +68,11 @@ struct WaveLane {
   std::vector<std::pair<int, int64_t>> pair_scratch;
 };
 
+/// The lane of the calling thread's serial waves and fold vertices: one per
+/// thread, reused by every wave that thread runs, so its buffers keep their
+/// capacity from wave to wave.
+WaveLane& CallerLane();
+
 namespace wave_internal {
 
 /// One deferred uplink: replayed through Network::SendToParent (preceded by
@@ -158,8 +163,10 @@ class WaveExecutor {
 ///                                             // uplink (policy runs only)
 ///
 /// Process(v) runs after every child of v has been processed and computes
-/// v's merged state into a slot indexed by v (disjoint across vertices, so
-/// parts need no locking); its WaveSend describes v's uplink. The engine
+/// v's merged state into a slot indexed by v, or into v's slab of the
+/// tree's post order (SpanningTree::subtree_begin), which only v's own
+/// subtree shares — so parts, being disjoint subtrees, need no locking; its
+/// WaveSend describes v's uplink. The engine
 /// owns traversal order, send accounting, and NoteConvergecast; Ops must
 /// not touch the Network beyond const topology reads.
 template <typename Ops>
@@ -177,7 +184,7 @@ void RunConvergecastWave(Network* net, Ops&& ops) {
   if (ex == nullptr || net->transport_policy() != nullptr) {
     // Classic serial loop: --subtree-parallel is off, or send outcomes may
     // depend on per-link transport state, which rules out deferred replay.
-    WaveLane lane;
+    WaveLane& lane = CallerLane();
     for (int v : tree.post_order) process_live(v, lane);
     return;
   }
@@ -205,7 +212,7 @@ void RunConvergecastWave(Network* net, Ops&& ops) {
 
   // Serial fold: replay the recorded sends and process the fold vertices,
   // in post order — the identical accounting sequence as the serial loop.
-  WaveLane fold_lane;
+  WaveLane& fold_lane = CallerLane();
   for (const SubtreeCut::Step& step : cut.steps) {
     if (step.part >= 0) {
       for (const wave_internal::RecordedSend& r :

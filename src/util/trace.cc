@@ -18,10 +18,9 @@ namespace wsnq {
 namespace {
 
 /// Destination of formatted output: a string, or a FILE* written as the
-/// text is produced. The trace serializers write through one so that
-/// TraceSink::WriteFile streams each event to disk instead of first
-/// building the whole body in memory; Serialize*() and the file share one
-/// formatting body per format.
+/// text is produced. The trace serializers write through one so that a
+/// file TraceSink streams each folded event to disk instead of keeping it;
+/// Serialize*() and the file share one formatting body per format.
 class Out {
  public:
   explicit Out(std::string* str) : str_(str) {}
@@ -126,6 +125,15 @@ void TraceBuffer::Push(Event::Kind kind, const char* phase, const char* name,
     event.args[event.num_args++] = arg;
   }
   events_.push_back(event);
+  if (spill_ != nullptr && events_.size() >= kSpillEvents) {
+    // The sink advances its clock by the ticks folded, so restarting this
+    // buffer's clock at 0 continues the run's tick sequence seamlessly.
+    // SpillTo's contract (the folding thread, the next run) is the claim.
+    ScopedSerialPhase fold_phase(FoldPhase());
+    spill_->Fold(*this);
+    events_.clear();
+    tick_ = 0;
+  }
 }
 
 void TraceBuffer::Begin(const char* phase, const char* name, int node,
@@ -164,96 +172,136 @@ ScopedSpan::~ScopedSpan() {
   if (buffer_ != nullptr) buffer_->End(phase_, name_, node_);
 }
 
-void TraceSink::Fold(const TraceBuffer& buffer) {
-  events_.reserve(events_.size() + buffer.events().size());
-  for (Event event : buffer.events()) {
-    event.tick += next_tick_;
-    events_.push_back(event);
-  }
-  next_tick_ += buffer.ticks();
-}
-
 namespace {
 
-void EmitJsonl(const std::vector<Event>& events, Out& out) {
-  for (const Event& e : events) {
-    out.Printf("{\"run\":%d,\"tick\":%lld,\"round\":%lld,\"proto\":\"%s\","
-               "\"phase\":\"%s\",\"name\":\"%s\",\"node\":%d,\"kind\":\"%s\"",
-               e.run, static_cast<long long>(e.tick),
-               static_cast<long long>(e.round), e.proto, e.phase, e.name,
-               e.node, KindName(e.kind));
-    if (e.num_args > 0) {
-      out.Puts(",\"args\":{");
-      for (int i = 0; i < e.num_args; ++i) {
-        out.Printf("%s\"%s\":%lld", i > 0 ? "," : "", e.args[i].key,
-                   static_cast<long long>(e.args[i].value));
-      }
-      out.Puts("}");
+/// One event as a JSONL line, stamped with `tick`.
+void EmitJsonl(const Event& e, int64_t tick, Out& out) {
+  out.Printf("{\"run\":%d,\"tick\":%lld,\"round\":%lld,\"proto\":\"%s\","
+             "\"phase\":\"%s\",\"name\":\"%s\",\"node\":%d,\"kind\":\"%s\"",
+             e.run, static_cast<long long>(tick),
+             static_cast<long long>(e.round), e.proto, e.phase, e.name,
+             e.node, KindName(e.kind));
+  if (e.num_args > 0) {
+    out.Puts(",\"args\":{");
+    for (int i = 0; i < e.num_args; ++i) {
+      out.Printf("%s\"%s\":%lld", i > 0 ? "," : "", e.args[i].key,
+                 static_cast<long long>(e.args[i].value));
     }
-    out.Puts("}\n");
+    out.Puts("}");
   }
+  out.Puts("}\n");
 }
 
-void EmitChromeJson(const std::vector<Event>& events, Out& out) {
-  out.Puts("{\"traceEvents\":[\n");
-  for (size_t i = 0; i < events.size(); ++i) {
-    const Event& e = events[i];
-    // pid = run so Perfetto groups one run per process track; tid maps the
-    // coordinator (node == -1) to 0 and vertex v to v + 1.
-    out.Printf("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%lld,"
-               "\"pid\":%d,\"tid\":%d",
-               e.name, e.phase, ChromePh(e.kind),
-               static_cast<long long>(e.tick), e.run, e.node + 1);
-    if (e.kind == Event::Kind::kInstant) out.Puts(",\"s\":\"t\"");
-    if (e.kind == Event::Kind::kCounter) {
-      out.Printf(",\"args\":{\"%s\":%lld}", e.args[0].key,
-                 static_cast<long long>(e.args[0].value));
-    } else {
-      out.Printf(",\"args\":{\"proto\":\"%s\",\"round\":%lld", e.proto,
-                 static_cast<long long>(e.round));
-      for (int a = 0; a < e.num_args; ++a) {
-        out.Printf(",\"%s\":%lld", e.args[a].key,
-                   static_cast<long long>(e.args[a].value));
-      }
-      out.Puts("}");
+/// The Chrome trace_event JSON document is kChromeHead, the event objects
+/// separated by kChromeSep, then "\n" if there was any, then kChromeTail.
+constexpr const char* kChromeHead = "{\"traceEvents\":[\n";
+constexpr const char* kChromeSep = ",\n";
+constexpr const char* kChromeTail = "],\"displayTimeUnit\":\"ms\"}\n";
+
+/// One event as a Chrome trace_event object, stamped with `tick`.
+void EmitChrome(const Event& e, int64_t tick, Out& out) {
+  // pid = run so Perfetto groups one run per process track; tid maps the
+  // coordinator (node == -1) to 0 and vertex v to v + 1.
+  out.Printf("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%lld,"
+             "\"pid\":%d,\"tid\":%d",
+             e.name, e.phase, ChromePh(e.kind), static_cast<long long>(tick),
+             e.run, e.node + 1);
+  if (e.kind == Event::Kind::kInstant) out.Puts(",\"s\":\"t\"");
+  if (e.kind == Event::Kind::kCounter) {
+    out.Printf(",\"args\":{\"%s\":%lld}", e.args[0].key,
+               static_cast<long long>(e.args[0].value));
+  } else {
+    out.Printf(",\"args\":{\"proto\":\"%s\",\"round\":%lld", e.proto,
+               static_cast<long long>(e.round));
+    for (int a = 0; a < e.num_args; ++a) {
+      out.Printf(",\"%s\":%lld", e.args[a].key,
+                 static_cast<long long>(e.args[a].value));
     }
-    out.Puts(i + 1 < events.size() ? "},\n" : "}\n");
+    out.Puts("}");
   }
-  out.Puts("],\"displayTimeUnit\":\"ms\"}\n");
+  out.Puts("}");
 }
 
 }  // namespace
 
+// Constructor and destructor run before the sink is shared and after it
+// stops being shared, so they touch the fold-phase state without the claim.
+TraceSink::TraceSink(std::string path)
+    : path_(std::move(path)),
+      to_file_(true),
+      jsonl_(path_.size() >= 6 &&
+             path_.compare(path_.size() - 6, 6, ".jsonl") == 0) {
+  file_ = std::fopen(path_.c_str(), "wb");
+  if (file_ != nullptr && !jsonl_) {
+    Out out(file_);
+    out.Puts(kChromeHead);
+  }
+}
+
+TraceSink::~TraceSink() {
+  if (file_ != nullptr) std::fclose(file_);
+}
+
+void TraceSink::Fold(const TraceBuffer& buffer) {
+  if (!to_file_) {
+    events_.reserve(events_.size() + buffer.events().size());
+    for (Event event : buffer.events()) {
+      event.tick += next_tick_;
+      events_.push_back(event);
+    }
+  } else if (file_ != nullptr) {
+    Out out(file_);
+    int64_t written = event_count_;
+    for (const Event& e : buffer.events()) {
+      if (jsonl_) {
+        EmitJsonl(e, e.tick + next_tick_, out);
+      } else {
+        if (written++ > 0) out.Puts(kChromeSep);
+        EmitChrome(e, e.tick + next_tick_, out);
+      }
+    }
+  }
+  event_count_ += static_cast<int64_t>(buffer.events().size());
+  next_tick_ += buffer.ticks();
+}
+
 std::string TraceSink::SerializeJsonl() const {
+  WSNQ_CHECK(!to_file_);  // a file sink keeps no events
   std::string str;
   str.reserve(events_.size() * 96);
   Out out(&str);
-  EmitJsonl(events_, out);
+  for (const Event& e : events_) EmitJsonl(e, e.tick, out);
   return str;
 }
 
 std::string TraceSink::SerializeChromeJson() const {
+  WSNQ_CHECK(!to_file_);  // a file sink keeps no events
   std::string str;
   Out out(&str);
-  EmitChromeJson(events_, out);
+  out.Puts(kChromeHead);
+  for (size_t i = 0; i < events_.size(); ++i) {
+    if (i > 0) out.Puts(kChromeSep);
+    EmitChrome(events_[i], events_[i].tick, out);
+  }
+  if (!events_.empty()) out.Puts("\n");
+  out.Puts(kChromeTail);
   return str;
 }
 
-Status TraceSink::WriteFile() const {
-  const bool jsonl = path_.size() >= 6 &&
-                     path_.compare(path_.size() - 6, 6, ".jsonl") == 0;
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (f == nullptr) {
+Status TraceSink::WriteFile() {
+  if (!to_file_ || closed_) return Status::Ok();
+  closed_ = true;
+  if (file_ == nullptr) {
     return Status::Internal("cannot open trace file: " + path_);
   }
-  Out out(f);
-  if (jsonl) {
-    EmitJsonl(events_, out);
-  } else {
-    EmitChromeJson(events_, out);
+  if (!jsonl_) {
+    Out out(file_);
+    if (event_count_ > 0) out.Puts("\n");
+    out.Puts(kChromeTail);
   }
-  const bool write_failed = std::ferror(f) != 0;
-  const int close_rc = std::fclose(f);
+  const bool write_failed = std::ferror(file_) != 0;
+  const int close_rc = std::fclose(file_);
+  file_ = nullptr;
   if (write_failed || close_rc != 0) {
     return Status::Internal("short write to trace file: " + path_);
   }
@@ -265,6 +313,8 @@ TraceSink* GlobalSink() { return g_sink.get(); }
 void InstallGlobalSink(const std::string& path) {
   g_sink = std::make_unique<TraceSink>(path);
 }
+
+void InstallGlobalSink() { g_sink = std::make_unique<TraceSink>(); }
 
 Status FlushGlobalSink() {
   if (g_sink == nullptr) return Status::Ok();

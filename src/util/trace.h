@@ -22,7 +22,9 @@
 #ifndef WSNQ_UTIL_TRACE_H_
 #define WSNQ_UTIL_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -70,9 +72,19 @@ struct Event {
 /// thread_local install is the whole access path, and the cross-thread
 /// hand-off to the folding thread happens-before via ParallelFor's return
 /// (the fold side is guarded — see TraceSink and FoldPhase()).
+class TraceSink;
+
 class TraceBuffer {
  public:
   explicit TraceBuffer(int run) : run_(run) {}
+
+  /// Folds this buffer into `sink` every kSpillEvents events while it
+  /// fills, so the run never holds more than that many; the run's final
+  /// Fold writes the rest. Spilled events keep the exact ticks one Fold of
+  /// the whole run would give them. Only for the next run in fold order,
+  /// filled on the folding thread (the serial experiment path).
+  void SpillTo(TraceSink* sink) { spill_ = sink; }
+  static constexpr size_t kSpillEvents = 4096;
 
   int run() const { return run_; }
   /// Context stamped onto subsequently emitted events.
@@ -100,6 +112,7 @@ class TraceBuffer {
   const char* proto_ = "";
   int64_t tick_ = 0;
   std::vector<Event> events_;
+  TraceSink* spill_ = nullptr;
 };
 
 /// The thread's active buffer (set by RunScope); nullptr when tracing is
@@ -136,48 +149,70 @@ class ScopedSpan {
   int node_;
 };
 
-/// Accumulates folded run buffers and serializes them. Fold() must be
-/// called in run-index order on a single thread; it rebases each buffer's
-/// logical ticks onto one global clock, which is what makes the serialized
-/// bytes independent of the thread count. That discipline is expressed as
-/// the FoldPhase() capability (util/mutex.h): folding requires it
-/// exclusively, serialization at least shared, so a Fold() call from
-/// pool-task code — where the phase capability is provably absent — is a
-/// -Wthread-safety compile error under the `analyze` preset.
+/// Receives folded run buffers. Fold() must be called in run-index order
+/// on a single thread; it rebases each buffer's logical ticks onto one
+/// global clock, which is what makes the serialized bytes independent of
+/// the thread count. A file sink writes every folded event straight to its
+/// file, so a trace costs memory for one run's buffer, not for the whole
+/// experiment; an in-memory sink keeps the events for Serialize*(). That
+/// discipline is expressed as the FoldPhase() capability (util/mutex.h):
+/// folding requires it exclusively, serialization at least shared, so a
+/// Fold() call from pool-task code — where the phase capability is provably
+/// absent — is a -Wthread-safety compile error under the `analyze` preset.
 class TraceSink {
  public:
-  explicit TraceSink(std::string path) : path_(std::move(path)) {}
+  /// An in-memory sink: folded events are kept for Serialize*().
+  TraceSink() = default;
+  /// A file sink streaming to `path`: ".jsonl" selects JSONL, anything
+  /// else Chrome JSON. WriteFile() finishes the file.
+  explicit TraceSink(std::string path);
+  ~TraceSink();
+  TraceSink(const TraceSink&) = delete;
+  TraceSink& operator=(const TraceSink&) = delete;
 
   const std::string& path() const { return path_; }
+  /// Events folded so far.
   int64_t event_count() const WSNQ_REQUIRES_SHARED(FoldPhase()) {
-    return static_cast<int64_t>(events_.size());
+    return event_count_;
   }
 
   /// Appends `buffer`'s events with rebased ticks. Call in run order.
   void Fold(const TraceBuffer& buffer) WSNQ_REQUIRES(FoldPhase());
 
-  /// One JSON object per line; full (run, round, phase, node) key.
+  /// One JSON object per line; full (run, round, phase, node) key. In-memory
+  /// sinks only.
   std::string SerializeJsonl() const WSNQ_REQUIRES_SHARED(FoldPhase());
   /// Chrome/Perfetto trace_event JSON: pid = run, tid = node + 1 (0 is the
-  /// coordinator), ts/dur in logical ticks.
+  /// coordinator), ts/dur in logical ticks. In-memory sinks only.
   std::string SerializeChromeJson() const WSNQ_REQUIRES_SHARED(FoldPhase());
 
-  /// Writes to path(): ".jsonl" selects JSONL, anything else Chrome JSON.
-  Status WriteFile() const WSNQ_REQUIRES_SHARED(FoldPhase());
+  /// Finishes and closes a file sink's file; reports a failed open or
+  /// write. Later folds are dropped.
+  Status WriteFile() WSNQ_REQUIRES(FoldPhase());
 
  private:
   std::string path_;
+  bool to_file_ = false;
+  bool jsonl_ = false;
+  /// Null for an in-memory sink, after WriteFile(), or if fopen failed.
+  std::FILE* file_ WSNQ_GUARDED_BY(FoldPhase()) = nullptr;
+  bool closed_ WSNQ_GUARDED_BY(FoldPhase()) = false;
   int64_t next_tick_ WSNQ_GUARDED_BY(FoldPhase()) = 0;
+  int64_t event_count_ WSNQ_GUARDED_BY(FoldPhase()) = 0;
+  /// Folded events of an in-memory sink.
   std::vector<Event> events_ WSNQ_GUARDED_BY(FoldPhase());
 };
 
 /// Process-wide sink configured by --trace=PATH; nullptr when tracing was
 /// not requested. Experiment code folds run buffers into it.
 TraceSink* GlobalSink();
-/// Installs a fresh global sink writing to `path` (replaces any previous).
+/// Installs a fresh global file sink streaming to `path` (replaces any
+/// previous sink).
 void InstallGlobalSink(const std::string& path);
-/// Serializes + writes the global sink's file, then uninstalls it. OK and
-/// a no-op when no sink is installed.
+/// Installs a fresh in-memory global sink (tests serialize it).
+void InstallGlobalSink();
+/// Finishes the global sink's file, then uninstalls it. OK and a no-op
+/// when no sink is installed.
 Status FlushGlobalSink();
 /// Drops the global sink without writing (tests).
 void ClearGlobalSink();

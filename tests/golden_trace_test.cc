@@ -65,18 +65,20 @@ StatusOr<std::string> ReadFile(const std::string& path) {
 }
 
 TEST(GoldenTraceTest, IqSmallScenarioMatchesFrozenTrace) {
-  trace::InstallGlobalSink("unused.jsonl");
+  // The bytes pinned are the file --trace writes: the global sink streams
+  // every folded run buffer straight to it.
+  const std::string path = ::testing::TempDir() + "/golden_iq_trace.jsonl";
+  trace::InstallGlobalSink(path);
   auto aggregates =
       RunExperiment(GoldenConfig(),
                     std::vector<AlgorithmKind>{AlgorithmKind::kIq},
                     /*runs=*/1);
   ASSERT_TRUE(aggregates.ok()) << aggregates.status().ToString();
   ASSERT_NE(trace::GlobalSink(), nullptr);
-  // RunExperiment has returned, so every run buffer is folded and this
-  // thread may (re-)enter the fold phase to serialize.
-  ScopedSerialPhase fold_phase(FoldPhase());
-  const std::string actual = trace::GlobalSink()->SerializeJsonl();
-  trace::ClearGlobalSink();
+  ASSERT_TRUE(trace::FlushGlobalSink().ok());
+  auto written = ReadFile(path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  const std::string actual = written.value();
   ASSERT_FALSE(actual.empty());
 
   // NOLINTNEXTLINE(concurrency-mt-unsafe): startup-time config read
@@ -111,7 +113,7 @@ TEST(GoldenTraceTest, IqSmallScenarioMatchesFrozenTrace) {
 
 // Runs `config` and returns the serialized trace.
 std::string CaptureTrace(const SimulationConfig& config) {
-  trace::InstallGlobalSink("unused.jsonl");
+  trace::InstallGlobalSink();
   auto aggregates =
       RunExperiment(config, std::vector<AlgorithmKind>{AlgorithmKind::kIq},
                     /*runs=*/2);

@@ -483,6 +483,7 @@ TEST(RelabelTest, SubtreesAreContiguousIdRanges) {
     for (int v = 0; v < n; ++v) {
       const int lo = v - size[static_cast<size_t>(v)] + 1;
       ASSERT_GE(lo, 0);
+      EXPECT_EQ(tree.subtree_begin[static_cast<size_t>(v)], lo);
       for (int u = 0; u < n; ++u) {
         bool below = false;
         for (int w = u; w >= 0; w = tree.parent[static_cast<size_t>(w)]) {

@@ -584,7 +584,7 @@ std::vector<SimulationResult> ReplayPaperProtocols(
 }
 
 std::string TraceBytes(const trace::TraceBuffer& buffer) {
-  trace::TraceSink sink("unused.jsonl");
+  trace::TraceSink sink;
   ScopedSerialPhase fold_phase(FoldPhase());
   sink.Fold(buffer);
   return sink.SerializeJsonl();

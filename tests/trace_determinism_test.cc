@@ -53,7 +53,7 @@ SimulationConfig SmallConfig(int threads, bool faulted = false) {
 
 Capture RunOnce(int threads, bool faulted = false) {
   Capture capture;
-  trace::InstallGlobalSink("unused.json");
+  trace::InstallGlobalSink();
   auto aggregates =
       RunExperiment(SmallConfig(threads, faulted),
                     std::vector<AlgorithmKind>{AlgorithmKind::kIq,

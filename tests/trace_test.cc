@@ -53,7 +53,7 @@ TEST(TraceSinkTest, FoldRebasesTicksInRunOrder) {
   trace::TraceBuffer run1(1);
   run1.Instant("net", "c", -1);
 
-  trace::TraceSink sink("unused.jsonl");
+  trace::TraceSink sink;
   // Tests fold on the main thread — the fold-phase claim holds trivially.
   ScopedSerialPhase fold_phase(FoldPhase());
   sink.Fold(run0);
@@ -73,7 +73,7 @@ TEST(TraceSinkTest, SerializeJsonlHasFullKey) {
   buffer.set_proto("HBC");
   buffer.set_round(5);
   buffer.Instant("refinement", "drill", 9, {{"b", 12}});
-  trace::TraceSink sink("unused.jsonl");
+  trace::TraceSink sink;
   ScopedSerialPhase fold_phase(FoldPhase());
   sink.Fold(buffer);
   const std::string jsonl = sink.SerializeJsonl();
@@ -89,7 +89,7 @@ TEST(TraceSinkTest, SerializeChromeJsonIsWellFormed) {
   buffer.Instant("net", "uplink", 3, {{"bits", 64}});
   buffer.Counter("round_packets", 7);
   buffer.End("round", "update", -1);
-  trace::TraceSink sink("unused.json");
+  trace::TraceSink sink;
   ScopedSerialPhase fold_phase(FoldPhase());
   sink.Fold(buffer);
   const std::string json = sink.SerializeChromeJson();

@@ -29,9 +29,13 @@ PR (a couple of minutes on one core):
 Schema 2 additions over the historical v1 snapshots:
 
   * top-level "schema": 2 and a "metadata" block (host, CPU count,
-    compiler, build type, flags, relevant WSNQ_* cache options, git rev) —
-    so a diff between two snapshots can first answer "same machine, same
+    compiler, build type, flags, relevant WSNQ_* cache options, git rev,
+    and git_dirty: whether tracked files differed from that rev) — so a
+    diff between two snapshots can first answer "same machine, same
     build?" before anyone reads a number;
+  * every child process's peak resident set (ru_maxrss from os.wait4,
+    MB): "peak_rss_mb" in the micro and per-bench sections, and
+    "daemon_peak_rss_mb" / "loadgen_peak_rss_mb" in the serve section;
   * per-bench robust statistics from the "# bench" stderr line emitted by
     bench/bench_common.h: {reps, warmup, median_s, mad_s, min_s, max_s,
     mean_s, cv} next to the single-shot wall_s;
@@ -58,6 +62,7 @@ can overwrite the original file instead of minting a new day.
 """
 
 import argparse
+import collections
 import datetime
 import json
 import os
@@ -66,6 +71,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 
 SCHEMA_VERSION = 2
 
@@ -146,6 +152,74 @@ def git_revision():
         return ""
 
 
+def git_dirty():
+    """True when tracked files differ from git_rev (the snapshot then does
+    not measure that commit); None outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, text=True, check=True)
+        return bool(out.stdout.strip())
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+# What a finished child left: its output and its peak resident set [MB].
+ChildResult = collections.namedtuple("ChildResult",
+                                     "stdout stderr peak_rss_mb")
+
+
+def finish_child(proc, timeout=None):
+    """Reads `proc`'s pipes to EOF, reaps it with os.wait4 and returns a
+    ChildResult whose peak_rss_mb is the child's own ru_maxrss. Kills the
+    child after `timeout` seconds; raises CalledProcessError on a non-zero
+    exit, like subprocess.run(check=True)."""
+    outputs = {}
+
+    def drain(name, pipe):
+        outputs[name] = pipe.read() if pipe is not None else None
+
+    readers = [threading.Thread(target=drain, args=(name, pipe))
+               for name, pipe in (("stdout", proc.stdout),
+                                  ("stderr", proc.stderr))]
+    for reader in readers:
+        reader.start()
+    expired = threading.Event()
+
+    def expire():
+        expired.set()
+        proc.kill()
+
+    timer = threading.Timer(timeout, expire) if timeout else None
+    if timer is not None:
+        timer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        if timer is not None:
+            timer.cancel()
+    for reader in readers:
+        reader.join()
+    # Popen must not wait for a pid that is already reaped.
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    result = ChildResult(outputs["stdout"], outputs["stderr"],
+                         round(usage.ru_maxrss / 1024.0, 1))
+    if expired.is_set():
+        raise subprocess.TimeoutExpired(proc.args, timeout)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args,
+                                            result.stdout, result.stderr)
+    return result
+
+
+def run_child(args, env=None, timeout=None):
+    """subprocess.run(check=True, capture_output=True, text=True) that also
+    records the child's peak RSS (see finish_child)."""
+    proc = subprocess.Popen(args, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+    return finish_child(proc, timeout)
+
+
 def collect_metadata(build_dir):
     """Machine/build/compiler identity: the "same machine, same build?"
     questions a snapshot diff must answer before its numbers mean
@@ -165,16 +239,17 @@ def collect_metadata(build_dir):
             for name in ("WSNQ_SANITIZE", "WSNQ_WERROR")
         },
         "git_rev": git_revision(),
+        "git_dirty": git_dirty(),
     }
 
 
 def run_micro(build_dir):
     """Returns the micro benchmark entries (name, real/cpu time, unit)."""
     binary = os.path.join(build_dir, "bench", "micro_primitives")
-    out = subprocess.run([binary, "--benchmark_format=json"],
-                         check=True, capture_output=True, text=True)
+    out = run_child([binary, "--benchmark_format=json"])
     report = json.loads(out.stdout)
     return {
+        "peak_rss_mb": out.peak_rss_mb,
         "num_cpus": report["context"]["num_cpus"],
         "mhz_per_cpu": report["context"]["mhz_per_cpu"],
         "benchmarks": [
@@ -197,10 +272,9 @@ def run_sweep(build_dir, bench_name, runs, rounds, reps, warmup):
     "# profile" per-stage report (wall clock and thread CPU time)."""
     binary = os.path.join(build_dir, "bench", bench_name)
     env = dict(os.environ, WSNQ_RUNS=str(runs), WSNQ_ROUNDS=str(rounds))
-    out = subprocess.run(
+    out = run_child(
         [binary, "--threads=1", "--profile", f"--reps={reps}",
-         f"--warmup={warmup}"],
-        check=True, capture_output=True, text=True, env=env)
+         f"--warmup={warmup}"], env=env)
     match = TIMING_RE.search(out.stderr)
     if match is None:
         raise RuntimeError(
@@ -223,6 +297,7 @@ def run_sweep(build_dir, bench_name, runs, rounds, reps, warmup):
         "max_s": stats.get("max_s"),
         "mean_s": stats.get("mean_s"),
         "cv": stats.get("cv"),
+        "peak_rss_mb": out.peak_rss_mb,
         "stages": parse_profile_stages(out.stderr),
     }
 
@@ -257,25 +332,28 @@ def run_serve(build_dir, subs, connections, fields, rounds, shards, threads):
         banner = parse_kv_line(served.stdout.readline())
         if "port" not in banner:
             raise RuntimeError("wsnq_served printed no startup banner")
-        loadgen = subprocess.run(
+        loadgen = run_child(
             [loadgen_bin, f"--port={banner['port']}", f"--subs={subs}",
              f"--connections={connections}", f"--fields={fields}",
-             f"--rounds={rounds}", "--timeout-sec=300"],
-            check=True, capture_output=True, text=True, timeout=360)
+             f"--rounds={rounds}", "--timeout-sec=300"], timeout=360)
         report = parse_tagged_line(loadgen.stdout, "loadgen")
         if report is None:
             raise RuntimeError("wsnq_loadgen printed no '# loadgen' report")
         served.send_signal(signal.SIGTERM)
-        out, _ = served.communicate(timeout=30)
-        if served.returncode != 0:
-            raise RuntimeError(f"wsnq_served exited {served.returncode}")
-        stats = parse_tagged_line(out, "served")
+        try:
+            daemon = finish_child(served, timeout=30)
+        except subprocess.CalledProcessError as error:
+            raise RuntimeError(
+                f"wsnq_served exited {error.returncode}") from error
+        stats = parse_tagged_line(daemon.stdout, "served")
         if stats is None:
             raise RuntimeError("wsnq_served printed no '# served' stats")
         if report.get("ok") != 1 or report.get("errors") != 0:
             raise RuntimeError(f"loadgen reported errors: {report}")
         return {"shards": shards, "threads": threads, "loadgen": report,
-                "daemon": stats}
+                "daemon": stats,
+                "loadgen_peak_rss_mb": loadgen.peak_rss_mb,
+                "daemon_peak_rss_mb": daemon.peak_rss_mb}
     finally:
         if served.poll() is None:
             served.kill()
