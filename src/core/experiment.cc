@@ -57,6 +57,34 @@ void FoldAndRelease(trace::TraceSink* sink, trace::TraceBuffer* buffer)
   *buffer = trace::TraceBuffer(buffer->run());
 }
 
+/// In-order trace folding for the parallel path: runs finish in any
+/// order, and each finished run folds every buffer from the oldest
+/// unfolded run up to the first one still running.
+class TraceFolder {
+ public:
+  explicit TraceFolder(int runs)
+      : finished_(static_cast<size_t>(runs), false) {}
+
+  /// Marks `run` finished and folds whatever prefix of runs is now
+  /// complete. The mutex admits one folder at a time and next_ keeps the
+  /// folds in run order, which is the fold-phase contract.
+  void Finish(int run, trace::TraceSink* sink,
+              std::vector<trace::TraceBuffer>* buffers) WSNQ_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    finished_[static_cast<size_t>(run)] = true;
+    ScopedSerialPhase fold_phase(FoldPhase());
+    while (next_ < finished_.size() && finished_[next_]) {
+      FoldAndRelease(sink, &(*buffers)[next_]);
+      ++next_;
+    }
+  }
+
+ private:
+  Mutex mu_;
+  std::vector<bool> finished_ WSNQ_GUARDED_BY(mu_);
+  size_t next_ WSNQ_GUARDED_BY(mu_) = 0;
+};
+
 /// Builds run `run`'s scenario and replays every factory's protocol over
 /// it, writing one result per factory into `results` (pre-sized). The
 /// factories of one run share the scenario's Network, so they execute
@@ -127,7 +155,7 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   }
 
   // One trace buffer per run when a --trace sink is installed; buffers are
-  // folded into the sink on this thread in run-index order (rebasing their
+  // folded into the sink one at a time in run-index order (rebasing their
   // logical ticks), so the serialized trace is bit-identical for every
   // thread count — the same discipline as the aggregate fold below.
   trace::TraceSink* sink = trace::GlobalSink();
@@ -183,11 +211,21 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   std::vector<std::vector<SimulationResult>> results(
       static_cast<size_t>(runs),
       std::vector<SimulationResult>(factories.size()));
+  // Trace buffers do not wait for the join: a run's buffer is folded as
+  // soon as that run and every earlier one have finished, so a traced
+  // sweep holds only the buffers of runs still queued behind an earlier
+  // one, not every run's events until the end.
+  TraceFolder folder(runs);
   ThreadPool pool(threads);
   Status status = pool.ParallelFor(runs, [&](int64_t run) {
-    return ExecuteRun(config, factories, static_cast<int>(run),
-                      &results[static_cast<size_t>(run)],
-                      buffer_for(static_cast<int>(run)), cache, wave_threads);
+    Status run_status =
+        ExecuteRun(config, factories, static_cast<int>(run),
+                   &results[static_cast<size_t>(run)],
+                   buffer_for(static_cast<int>(run)), cache, wave_threads);
+    if (run_status.ok() && sink != nullptr) {
+      folder.Finish(static_cast<int>(run), sink, &buffers);
+    }
+    return run_status;
   });
   if (!status.ok()) return status;
   prof::ScopedTimer timer("experiment/sweep_fold");
@@ -197,9 +235,6 @@ StatusOr<std::vector<AlgorithmAggregate>> RunExperimentImpl(
   for (int run = 0; run < runs; ++run) {
     for (size_t i = 0; i < factories.size(); ++i) {
       FoldRun(results[static_cast<size_t>(run)][i], &aggregates[i]);
-    }
-    if (sink != nullptr) {
-      FoldAndRelease(sink, &buffers[static_cast<size_t>(run)]);
     }
   }
   return aggregates;

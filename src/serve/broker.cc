@@ -175,18 +175,21 @@ Status QuantileBroker::AdvanceRound(std::vector<AnswerEvent>* events) {
   // Fold on the calling thread in subscription-id order: the push
   // sequence is independent of shard count, thread count, and OS
   // scheduling (tests/serve_test.cc pins byte-identity).
-  for (const auto& [sub_id, sub] : subs_) {
-    const auto it = std::lower_bound(sub.stream->ranks.begin(),
-                                     sub.stream->ranks.end(), sub.rank);
-    WSNQ_DCHECK(it != sub.stream->ranks.end() && *it == sub.rank);
-    const size_t index =
-        static_cast<size_t>(it - sub.stream->ranks.begin());
-    AnswerEvent event;
-    event.session_id = sub.session_id;
-    event.answer.sub_id = sub_id;
-    event.answer.round = round_;
-    event.answer.value = sub.stream->answers[index];
-    events->push_back(event);
+  events->reserve(events->size() + subs_.size());
+  for (auto& [sub_id, sub] : subs_) {
+    const Stream& stream = *sub.stream;
+    if (sub.slot_rebuild != stream.rebuilds) {
+      sub.slot = static_cast<size_t>(
+          std::lower_bound(stream.ranks.begin(), stream.ranks.end(),
+                           sub.rank) -
+          stream.ranks.begin());
+      sub.slot_rebuild = stream.rebuilds;
+    }
+    WSNQ_DCHECK_LT(sub.slot, stream.ranks.size());
+    WSNQ_DCHECK_EQ(stream.ranks[sub.slot], sub.rank);
+    events->push_back(AnswerEvent{
+        sub.session_id,
+        AnswerPush{sub_id, round_, stream.answers[sub.slot]}});
   }
   stats_.pushes += static_cast<int64_t>(subs_.size());
   stats_.backend_rounds += static_cast<int64_t>(streams_.size());

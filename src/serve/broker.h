@@ -153,6 +153,11 @@ class QuantileBroker {
     int64_t session_id = 0;
     Stream* stream = nullptr;
     int64_t rank = 0;
+    /// Cached index of `rank` in stream->ranks / answers, valid while
+    /// stream->rebuilds == slot_rebuild (-1: never resolved). The fold
+    /// re-searches only after a rebuild, not every round.
+    size_t slot = 0;
+    int64_t slot_rebuild = -1;
   };
 
   StatusOr<Stream*> GetOrCreateStream(const std::string& field);

@@ -137,10 +137,10 @@ Status Server::PollOnce(int timeout_ms) {
 }
 
 Status Server::TickRound() {
-  std::vector<AnswerEvent> events;
-  const Status status = broker_.AdvanceRound(&events);
+  events_.clear();
+  const Status status = broker_.AdvanceRound(&events_);
   if (!status.ok()) return status;
-  for (const AnswerEvent& event : events) {
+  for (const AnswerEvent& event : events_) {
     auto it = conns_.find(event.session_id);
     if (it == conns_.end()) continue;  // session vanished mid-round
     it->second.session->PushAnswer(event.answer);

@@ -101,6 +101,8 @@ class Server : public RequestSink {
   int port_ = 0;
   /// Connections keyed by session id (== broker session id).
   std::map<int64_t, Conn> conns_;
+  /// TickRound's push buffer, reused across rounds.
+  std::vector<AnswerEvent> events_;
   int64_t next_session_id_ = 1;
   ServerStats stats_;
 };

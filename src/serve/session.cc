@@ -45,10 +45,7 @@ void Session::HandleFrame(const Frame& frame) {
                   /*fatal=*/true);
         return;
       }
-      Frame pong;
-      pong.request_id = frame.request_id;
-      pong.opcode = static_cast<uint8_t>(Opcode::kPong);
-      AppendFrame(pong, &outbox_);
+      Send(frame.request_id, Opcode::kPong, {});
       return;
     }
     case Opcode::kSubscribe: {
@@ -65,11 +62,8 @@ void Session::HandleFrame(const Frame& frame) {
                   /*fatal=*/false);
         return;
       }
-      Frame reply;
-      reply.request_id = frame.request_id;
-      reply.opcode = static_cast<uint8_t>(Opcode::kSubscribeAck);
-      reply.payload = EncodeSubscribeAckPayload(ack.value());
-      AppendFrame(reply, &outbox_);
+      Send(frame.request_id, Opcode::kSubscribeAck,
+           EncodeSubscribeAckPayload(ack.value()));
       return;
     }
     case Opcode::kUnsubscribe: {
@@ -84,11 +78,8 @@ void Session::HandleFrame(const Frame& frame) {
         SendError(frame.request_id, status.message(), /*fatal=*/false);
         return;
       }
-      Frame reply;
-      reply.request_id = frame.request_id;
-      reply.opcode = static_cast<uint8_t>(Opcode::kUnsubscribeAck);
-      reply.payload = EncodeSubIdPayload(sub_id.value());
-      AppendFrame(reply, &outbox_);
+      Send(frame.request_id, Opcode::kUnsubscribeAck,
+           EncodeSubIdPayload(sub_id.value()));
       return;
     }
     default:
@@ -99,25 +90,19 @@ void Session::HandleFrame(const Frame& frame) {
 
 void Session::PushAnswer(const AnswerPush& answer) {
   if (dead_ || closing_) return;
-  Frame frame;
-  frame.request_id = 0;  // server-initiated
-  frame.opcode = static_cast<uint8_t>(Opcode::kAnswer);
-  frame.payload = EncodeAnswerPayload(answer);
-  AppendFrame(frame, &outbox_);
+  Send(/*request_id=*/0, Opcode::kAnswer, PackAnswerPayload(answer));
 }
 
 void Session::SendError(uint64_t request_id, const std::string& message,
                         bool fatal) {
-  Frame frame;
-  frame.request_id = request_id;
-  frame.opcode = static_cast<uint8_t>(Opcode::kError);
-  frame.payload = EncodeErrorPayload(message);
-  AppendFrame(frame, &outbox_);
+  Send(request_id, Opcode::kError, EncodeErrorPayload(message));
   if (fatal) closing_ = true;
 }
 
-void Session::ConsumeOutput(size_t n) {
-  outbox_.erase(outbox_.begin(), outbox_.begin() + static_cast<ptrdiff_t>(n));
+void Session::Send(uint64_t request_id, Opcode opcode,
+                   std::span<const uint8_t> payload) {
+  AppendFrame(request_id, static_cast<uint8_t>(opcode), payload,
+              outbox_.Tail());
 }
 
 }  // namespace serve

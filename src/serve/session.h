@@ -25,8 +25,8 @@
 #define WSNQ_SERVE_SESSION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "serve/wire.h"
 #include "util/status.h"
@@ -54,13 +54,15 @@ class Session {
   /// Consumes inbound bytes and processes every complete frame.
   void OnBytes(const uint8_t* data, size_t len);
 
-  /// Queues one server-initiated answer push (request id 0).
+  /// Queues one server-initiated answer push (request id 0), encoded in
+  /// place at the outbox tail: no Frame, no heap payload.
   void PushAnswer(const AnswerPush& answer);
 
   /// Pending outbound bytes; the owner writes a prefix and calls
-  /// ConsumeOutput with the number actually written.
-  const std::vector<uint8_t>& outbox() const { return outbox_; }
-  void ConsumeOutput(size_t n);
+  /// ConsumeOutput with the number actually written. The span is
+  /// invalidated by the next queued frame.
+  std::span<const uint8_t> outbox() const { return outbox_.pending(); }
+  void ConsumeOutput(size_t n) { outbox_.Consume(n); }
   bool has_output() const { return !outbox_.empty(); }
 
   /// Connection was condemned by malformed framing: drop it now, write
@@ -74,6 +76,9 @@ class Session {
 
  private:
   void HandleFrame(const Frame& frame);
+  /// Appends one frame to the outbox.
+  void Send(uint64_t request_id, Opcode opcode,
+            std::span<const uint8_t> payload);
   /// Queues an ERROR frame for `request_id`; fatal ones set closing_.
   void SendError(uint64_t request_id, const std::string& message,
                  bool fatal);
@@ -81,7 +86,8 @@ class Session {
   const int64_t id_;
   RequestSink* const sink_;
   FrameReader reader_;
-  std::vector<uint8_t> outbox_;
+  /// Drained by offset (ConsumeOutput), compacted lazily.
+  ByteQueue outbox_;
   /// Highest request id seen; ids must be non-zero, strictly increasing.
   uint64_t last_request_id_ = 0;
   bool dead_ = false;

@@ -8,32 +8,53 @@ namespace wsnq {
 namespace serve {
 namespace {
 
-/// Byte-wise CRC-32 table for the reflected IEEE polynomial, built once.
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+/// Slice-by-8 CRC-32 tables for the reflected IEEE polynomial, built at
+/// compile time: entries[0] is the classic byte-wise table, and
+/// entries[k][i] is the CRC of byte i followed by k zero bytes, so eight
+/// lookups advance the CRC over eight input bytes.
+struct Crc32Tables {
+  uint32_t entries[8][256] = {};
+  constexpr Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xFFu];
+      }
     }
   }
 };
 
-const Crc32Table& Table() {
-  static const Crc32Table table;
-  return table;
+constexpr Crc32Tables kCrc32Tables;
+
+void StoreU32(uint32_t v, uint8_t* p) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+void StoreU64(uint64_t v, uint8_t* p) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t len) {
-  const Crc32Table& table = Table();
+  const auto& t = kCrc32Tables.entries;
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table.entries[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    const uint32_t lo = c ^ ReadU32(data);
+    const uint32_t hi = ReadU32(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -55,15 +76,15 @@ void AppendU16(uint16_t v, std::vector<uint8_t>* out) {
 }
 
 void AppendU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  const size_t at = out->size();
+  out->resize(at + 4);
+  StoreU32(v, out->data() + at);
 }
 
 void AppendU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  const size_t at = out->size();
+  out->resize(at + 8);
+  StoreU64(v, out->data() + at);
 }
 
 void AppendI64(int64_t v, std::vector<uint8_t>* out) {
@@ -75,30 +96,40 @@ uint16_t ReadU16(const uint8_t* p) {
 }
 
 uint32_t ReadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+  return static_cast<uint64_t>(ReadU32(p)) |
+         (static_cast<uint64_t>(ReadU32(p + 4)) << 32);
 }
 
 int64_t ReadI64(const uint8_t* p) {
   return static_cast<int64_t>(ReadU64(p));
 }
 
-void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
-  const size_t body_len = kBodyMinBytes + frame.payload.size();
+void AppendFrame(uint64_t request_id, uint8_t opcode,
+                 std::span<const uint8_t> payload,
+                 std::vector<uint8_t>* out) {
+  const size_t body_len = kBodyMinBytes + payload.size();
   WSNQ_CHECK_LE(body_len, kMaxBodyBytes);
-  AppendU32(static_cast<uint32_t>(body_len), out);
-  const size_t body_start = out->size();
-  AppendU64(frame.request_id, out);
-  out->push_back(frame.opcode);
-  out->insert(out->end(), frame.payload.begin(), frame.payload.end());
-  AppendU32(Crc32(out->data() + body_start, body_len), out);
+  const size_t at = out->size();
+  out->resize(at + kLenPrefixBytes + body_len + kCrcBytes);
+  uint8_t* p = out->data() + at;
+  StoreU32(static_cast<uint32_t>(body_len), p);
+  uint8_t* body = p + kLenPrefixBytes;
+  StoreU64(request_id, body);
+  body[8] = opcode;
+  if (!payload.empty()) {
+    std::memcpy(body + kBodyMinBytes, payload.data(), payload.size());
+  }
+  StoreU32(Crc32(body, body_len), body + body_len);
+}
+
+void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
+  AppendFrame(frame.request_id, frame.opcode, frame.payload, out);
 }
 
 std::vector<uint8_t> EncodeFrame(const Frame& frame) {
@@ -179,16 +210,23 @@ StatusOr<uint64_t> DecodeSubIdPayload(const std::vector<uint8_t>& payload) {
   return ReadU64(payload.data());
 }
 
-std::vector<uint8_t> EncodeAnswerPayload(const AnswerPush& answer) {
-  std::vector<uint8_t> out;
-  AppendU64(answer.sub_id, &out);
-  AppendI64(answer.round, &out);
-  AppendI64(answer.value, &out);
+std::array<uint8_t, kAnswerPayloadBytes> PackAnswerPayload(
+    const AnswerPush& answer) {
+  std::array<uint8_t, kAnswerPayloadBytes> out{};
+  StoreU64(answer.sub_id, out.data());
+  StoreU64(static_cast<uint64_t>(answer.round), out.data() + 8);
+  StoreU64(static_cast<uint64_t>(answer.value), out.data() + 16);
   return out;
 }
 
+std::vector<uint8_t> EncodeAnswerPayload(const AnswerPush& answer) {
+  const std::array<uint8_t, kAnswerPayloadBytes> packed =
+      PackAnswerPayload(answer);
+  return std::vector<uint8_t>(packed.begin(), packed.end());
+}
+
 StatusOr<AnswerPush> DecodeAnswerPayload(const std::vector<uint8_t>& payload) {
-  if (payload.size() != 24) {
+  if (payload.size() != kAnswerPayloadBytes) {
     return Status::InvalidArgument("ANSWER payload must be 24 bytes");
   }
   AnswerPush answer;
@@ -221,18 +259,28 @@ StatusOr<std::string> DecodeErrorPayload(const std::vector<uint8_t>& payload) {
                      payload.size() - 2);
 }
 
+void ByteQueue::Consume(size_t n) {
+  WSNQ_DCHECK_LE(n, size());
+  head_ += n;
+  if (head_ == bytes_.size()) {
+    bytes_.clear();
+    head_ = 0;
+  }
+}
+
+std::vector<uint8_t>* ByteQueue::Tail() {
+  if (head_ > 4096 && head_ > bytes_.size() / 2) {
+    bytes_.erase(bytes_.begin(),
+                 bytes_.begin() + static_cast<ptrdiff_t>(head_));
+    head_ = 0;
+  }
+  return &bytes_;
+}
+
 void FrameReader::Feed(const uint8_t* data, size_t len) {
   if (malformed_) return;  // stream already condemned; drop the bytes
-  // Compact the decoded prefix before growing (amortized O(1) per byte).
-  if (consumed_ > 0 && consumed_ == buffer_.size()) {
-    buffer_.clear();
-    consumed_ = 0;
-  } else if (consumed_ > 4096 && consumed_ > buffer_.size() / 2) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
-  buffer_.insert(buffer_.end(), data, data + len);
+  std::vector<uint8_t>* tail = buffer_.Tail();
+  tail->insert(tail->end(), data, data + len);
 }
 
 ReadResult FrameReader::Next(Frame* frame, std::string* error) {
@@ -240,9 +288,10 @@ ReadResult FrameReader::Next(Frame* frame, std::string* error) {
     if (error != nullptr) *error = "stream already malformed";
     return ReadResult::kMalformed;
   }
-  const size_t avail = buffer_.size() - consumed_;
+  const std::span<const uint8_t> pending = buffer_.pending();
+  const size_t avail = pending.size();
   if (avail < kLenPrefixBytes) return ReadResult::kNeedMore;
-  const uint8_t* p = buffer_.data() + consumed_;
+  const uint8_t* p = pending.data();
   const size_t body_len = ReadU32(p);
   if (body_len < kBodyMinBytes || body_len > kMaxBodyBytes) {
     malformed_ = true;
@@ -266,7 +315,7 @@ ReadResult FrameReader::Next(Frame* frame, std::string* error) {
   frame->request_id = ReadU64(body);
   frame->opcode = body[8];
   frame->payload.assign(body + kBodyMinBytes, body + body_len);
-  consumed_ += total;
+  buffer_.Consume(total);
   return ReadResult::kFrame;
 }
 

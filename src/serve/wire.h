@@ -20,8 +20,10 @@
 #ifndef WSNQ_SERVE_WIRE_H_
 #define WSNQ_SERVE_WIRE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +33,8 @@ namespace wsnq {
 namespace serve {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected, init/final
-/// 0xFFFFFFFF). Crc32("123456789") == 0xCBF43926.
+/// 0xFFFFFFFF). Crc32("123456789") == 0xCBF43926. Table-driven
+/// slice-by-8: eight bytes per step, then a byte-wise tail.
 uint32_t Crc32(const uint8_t* data, size_t len);
 
 /// Frame opcodes. Client-to-server requests have the high bit clear,
@@ -76,8 +79,12 @@ uint32_t ReadU32(const uint8_t* p);
 uint64_t ReadU64(const uint8_t* p);
 int64_t ReadI64(const uint8_t* p);
 
-/// Serializes `frame` (length prefix + body + CRC) onto `out`.
-/// Precondition: payload within kMaxBodyBytes.
+/// Serializes one frame (length prefix + body + CRC) onto `out`, growing
+/// it once and writing the fields in place. Precondition: payload within
+/// kMaxBodyBytes.
+void AppendFrame(uint64_t request_id, uint8_t opcode,
+                 std::span<const uint8_t> payload, std::vector<uint8_t>* out);
+/// The same bytes for a decoded-form Frame.
 void AppendFrame(const Frame& frame, std::vector<uint8_t>* out);
 std::vector<uint8_t> EncodeFrame(const Frame& frame);
 
@@ -117,12 +124,44 @@ struct AnswerPush {
   int64_t round = 0;
   int64_t value = 0;
 };
+constexpr size_t kAnswerPayloadBytes = 24;
+/// The ANSWER payload in a fixed array: the allocation-free form the push
+/// path encodes into; EncodeAnswerPayload returns the same bytes.
+std::array<uint8_t, kAnswerPayloadBytes> PackAnswerPayload(
+    const AnswerPush& answer);
 std::vector<uint8_t> EncodeAnswerPayload(const AnswerPush& answer);
 StatusOr<AnswerPush> DecodeAnswerPayload(const std::vector<uint8_t>& payload);
 
 /// ERROR: u16 message length + message bytes.
 std::vector<uint8_t> EncodeErrorPayload(const std::string& message);
 StatusOr<std::string> DecodeErrorPayload(const std::vector<uint8_t>& payload);
+
+// --- Byte FIFO ------------------------------------------------------------
+
+/// A byte FIFO over one vector: appends go to the back, reads drain the
+/// front by advancing an offset, and the drained prefix is compacted
+/// lazily — only once it exceeds both 4 KiB and half the buffer — so every
+/// byte is moved O(1) times amortized. Backs the decoder's input buffer
+/// and a session's outbox.
+class ByteQueue {
+ public:
+  /// Unconsumed bytes, oldest first. Invalidated by Tail() and Consume().
+  std::span<const uint8_t> pending() const {
+    return {bytes_.data() + head_, bytes_.size() - head_};
+  }
+  size_t size() const { return bytes_.size() - head_; }
+  bool empty() const { return head_ == bytes_.size(); }
+
+  /// Drops the oldest `n` pending bytes (n <= size()).
+  void Consume(size_t n);
+
+  /// The buffer to append to, with the drained prefix compacted first.
+  std::vector<uint8_t>* Tail();
+
+ private:
+  std::vector<uint8_t> bytes_;
+  size_t head_ = 0;  ///< drained prefix
+};
 
 // --- Incremental decoder --------------------------------------------------
 
@@ -146,12 +185,11 @@ class FrameReader {
   /// (when non-null) describes the violation.
   ReadResult Next(Frame* frame, std::string* error = nullptr);
 
-  size_t buffered() const { return buffer_.size() - consumed_; }
+  size_t buffered() const { return buffer_.size(); }
   bool malformed() const { return malformed_; }
 
  private:
-  std::vector<uint8_t> buffer_;
-  size_t consumed_ = 0;  ///< decoded prefix, compacted lazily
+  ByteQueue buffer_;
   bool malformed_ = false;
 };
 

@@ -254,6 +254,99 @@ TEST(BrokerTest, AnswersAreExactOrderStatistics) {
   }
 }
 
+TEST(BrokerTest, CachedAnswerSlotsFollowRankSetChanges) {
+  const BrokerOptions options = SmallBroker();
+  QuantileBroker broker(options);
+
+  // Independent replicas of each field's scenario, as in
+  // AnswersAreExactOrderStatistics.
+  ScenarioCache cache;
+  std::map<std::string, Scenario> replicas;
+  for (const std::string field : {"temp", "wind"}) {
+    const SimulationConfig config = ResolveField(options.base, field);
+    ASSERT_TRUE(cache.Prepare(config, 1).ok());
+    StatusOr<Scenario> replica = cache.Build(config, 0);
+    ASSERT_TRUE(replica.ok());
+    replicas.emplace(field, std::move(replica).value());
+  }
+
+  struct Live {
+    int64_t session;
+    std::string field;
+    int64_t rank;
+  };
+  std::map<uint64_t, Live> live;
+  const auto subscribe = [&](int64_t session, const std::string& field,
+                             uint32_t permille) {
+    auto ack = broker.Subscribe(session, Sub(field, permille));
+    EXPECT_TRUE(ack.ok());
+    live[ack.value().sub_id] = Live{session, field, ack.value().rank};
+    return ack.value().sub_id;
+  };
+  const auto unsubscribe = [&](uint64_t sub_id) {
+    EXPECT_TRUE(broker.Unsubscribe(live.at(sub_id).session, sub_id).ok());
+    live.erase(sub_id);
+  };
+  // Advances one round and checks every push against the oracle.
+  std::vector<AnswerEvent> events;
+  const auto advance_and_check = [&](const std::string& step) {
+    const int64_t round = broker.round();
+    events.clear();
+    ASSERT_TRUE(broker.AdvanceRound(&events).ok());
+    ASSERT_EQ(events.size(), live.size()) << step;
+    std::map<std::string, std::vector<int64_t>> values;
+    for (const auto& [field, replica] : replicas) {
+      values[field] =
+          SensorValues(*replica.network, replica.ValuesView(round));
+    }
+    auto it = live.begin();
+    for (const AnswerEvent& event : events) {
+      ASSERT_EQ(event.answer.sub_id, it->first) << step;
+      EXPECT_EQ(event.session_id, it->second.session) << step;
+      EXPECT_EQ(event.answer.round, round) << step;
+      EXPECT_EQ(event.answer.value,
+                OracleKth(values.at(it->second.field), it->second.rank))
+          << step << ": round " << round << " sub " << it->first;
+      ++it;
+    }
+  };
+
+  const uint64_t high = subscribe(1, "temp", 900);
+  const uint64_t wind = subscribe(2, "wind", 500);
+  advance_and_check("initial");
+  advance_and_check("steady");
+
+  // A rank inserted below `high` shifts its slot from 0 to 1.
+  const uint64_t low = subscribe(2, "temp", 100);
+  advance_and_check("rank inserted below");
+  advance_and_check("after insert");
+
+  // A middle rank held twice: dropping one reference keeps the rank set,
+  // dropping the last one removes it and shifts `high` back down.
+  const uint64_t mid_a = subscribe(1, "temp", 500);
+  const uint64_t mid_b = subscribe(3, "temp", 500);
+  advance_and_check("middle rank added");
+  unsubscribe(mid_a);
+  advance_and_check("one middle reference dropped");
+  unsubscribe(mid_b);
+  advance_and_check("last middle reference dropped");
+
+  // Retire the stream and re-create it under the same field; the other
+  // field's cached slot stays valid throughout.
+  unsubscribe(high);
+  unsubscribe(low);
+  advance_and_check("stream retired");
+  EXPECT_EQ(broker.stats().streams, 1);
+  subscribe(4, "temp", 700);
+  subscribe(4, "temp", 50);
+  advance_and_check("stream re-created");
+  subscribe(5, "temp", 700);  // existing rank: no rebuild, fresh slot
+  advance_and_check("duplicate rank joined");
+  advance_and_check("steady again");
+  EXPECT_EQ(broker.stats().streams, 2);
+  EXPECT_EQ(live.count(wind), 1u);
+}
+
 // --- Byte-identical answers across shards and threads ---------------------
 
 /// Runs a fixed subscription scenario (including a mid-run subscribe and

@@ -4,8 +4,12 @@
 // id — every case must close or error the connection WITHOUT a single
 // call reaching the backend (the counting fake RequestSink is the proof).
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +30,96 @@ TEST(Crc32Test, KnownVector) {
 }
 
 TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(Crc32(nullptr, 0), 0u); }
+
+/// Bit-at-a-time CRC-32 (reflected IEEE polynomial): the definition the
+/// table-driven Crc32 must reproduce.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(5);
+  std::vector<uint8_t> data(8 + 300);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32(data.data() + start, len),
+                BitwiseCrc32(data.data() + start, len))
+          << "start " << start << " len " << len;
+    }
+  }
+}
+
+/// One frame built field by field with the reference CRC, independent of
+/// AppendFrame.
+std::vector<uint8_t> ReferenceFrame(uint64_t request_id, uint8_t opcode,
+                                    const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> body;
+  for (int i = 0; i < 8; ++i) {
+    body.push_back(static_cast<uint8_t>(request_id >> (8 * i)));
+  }
+  body.push_back(opcode);
+  body.insert(body.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> out;
+  const auto put_u32 = [&out](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  };
+  put_u32(static_cast<uint32_t>(body.size()));
+  out.insert(out.end(), body.begin(), body.end());
+  put_u32(BitwiseCrc32(body.data(), body.size()));
+  return out;
+}
+
+TEST(FrameCodecTest, SpanAndFrameEncodingsMatchReferenceForEveryOpcode) {
+  SubscribeRequest request;
+  request.field = "temp";
+  request.rank_permille = 900;
+  SubscribeAck ack;
+  ack.sub_id = 3;
+  ack.rank = 17;
+  ack.round = 40;
+  const std::vector<std::pair<Opcode, std::vector<uint8_t>>> cases = {
+      {Opcode::kSubscribe, EncodeSubscribePayload(request)},
+      {Opcode::kUnsubscribe, EncodeSubIdPayload(3)},
+      {Opcode::kPing, {}},
+      {Opcode::kError, EncodeErrorPayload("request ids must increase")},
+      {Opcode::kError, EncodeErrorPayload("")},
+      {Opcode::kSubscribeAck, EncodeSubscribeAckPayload(ack)},
+      {Opcode::kUnsubscribeAck, EncodeSubIdPayload(3)},
+      {Opcode::kPong, {}},
+      {Opcode::kAnswer, EncodeAnswerPayload(AnswerPush{3, 40, -12})},
+  };
+  for (const auto& [opcode, payload] : cases) {
+    const uint64_t request_id =
+        opcode == Opcode::kAnswer ? 0 : 0x0102030405ull;
+    const std::vector<uint8_t> expected =
+        ReferenceFrame(request_id, static_cast<uint8_t>(opcode), payload);
+
+    std::vector<uint8_t> span_bytes = {0xAA};  // appends after existing bytes
+    AppendFrame(request_id, static_cast<uint8_t>(opcode), payload,
+                &span_bytes);
+    ASSERT_EQ(span_bytes.front(), 0xAA);
+    EXPECT_EQ(std::vector<uint8_t>(span_bytes.begin() + 1, span_bytes.end()),
+              expected)
+        << "opcode " << static_cast<int>(opcode);
+
+    Frame frame;
+    frame.request_id = request_id;
+    frame.opcode = static_cast<uint8_t>(opcode);
+    frame.payload = payload;
+    EXPECT_EQ(EncodeFrame(frame), expected)
+        << "opcode " << static_cast<int>(opcode);
+  }
+}
 
 TEST(FrameCodecTest, RoundTripsRandomFramesUnderChunkedDelivery) {
   Rng rng(11);
@@ -408,6 +502,83 @@ TEST(SessionTest, AnswerPushUsesRequestIdZero) {
   const auto decoded = DecodeAnswerPayload(replies[0].payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().value, 777);
+}
+
+/// The bytes the generic Frame path gives one answer push.
+std::vector<uint8_t> AnswerFrameBytes(const AnswerPush& answer) {
+  Frame frame;
+  frame.request_id = 0;
+  frame.opcode = static_cast<uint8_t>(Opcode::kAnswer);
+  frame.payload = EncodeAnswerPayload(answer);
+  std::vector<uint8_t> bytes;
+  AppendFrame(frame, &bytes);
+  return bytes;
+}
+
+TEST(SessionTest, PushAnswerBytesMatchFramePathAtExtremes) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<AnswerPush> pushes = {
+      {1, 0, kMin},
+      {1, 0, kMax},
+      {std::numeric_limits<uint64_t>::max(), 0, kMin},
+      {std::numeric_limits<uint64_t>::max(), kMax, kMax},
+      {0x8000000000000001ull, 1, 0},
+  };
+  for (const AnswerPush& push : pushes) {
+    CountingSink sink;
+    Session session(1, &sink);
+    session.PushAnswer(push);
+    const std::span<const uint8_t> out = session.outbox();
+    EXPECT_EQ(std::vector<uint8_t>(out.begin(), out.end()),
+              AnswerFrameBytes(push))
+        << "sub " << push.sub_id << " value " << push.value;
+  }
+}
+
+TEST(SessionTest, PartialConsumeKeepsByteOrder) {
+  CountingSink sink;
+  Session session(1, &sink);
+  // Each step pushes 123 bytes and drains about 90 in odd-sized chunks:
+  // the backlog grows, yet the drained prefix outgrows it again and again,
+  // so the outbox is compacted many times over.
+  const size_t chunks[] = {1, 7, 13, 29, 61, 97, 3};
+  std::vector<uint8_t> expected;
+  std::vector<uint8_t> drained;
+  const auto drain = [&](size_t n) {
+    const std::span<const uint8_t> out = session.outbox();
+    n = std::min(n, out.size());
+    drained.insert(drained.end(), out.begin(), out.begin() + n);
+    session.ConsumeOutput(n);
+  };
+  uint64_t request_id = 0;
+  for (int step = 0; step < 1500; ++step) {
+    for (int k = 0; k < 3; ++k) {
+      const AnswerPush push{static_cast<uint64_t>(3 * step + k + 1), step,
+                            (step * 7919 + k) % 1000 - 500};
+      session.PushAnswer(push);
+      const std::vector<uint8_t> frame = AnswerFrameBytes(push);
+      expected.insert(expected.end(), frame.begin(), frame.end());
+    }
+    if (step % 100 == 0) {  // interleave a reply frame with the pushes
+      Frame ping;
+      ping.request_id = ++request_id;
+      ping.opcode = static_cast<uint8_t>(Opcode::kPing);
+      const std::vector<uint8_t> bytes = EncodeFrame(ping);
+      session.OnBytes(bytes.data(), bytes.size());
+      Frame pong;
+      pong.request_id = request_id;
+      pong.opcode = static_cast<uint8_t>(Opcode::kPong);
+      AppendFrame(pong, &expected);
+    }
+    drain(chunks[step % 7]);
+    drain(chunks[(step + 3) % 7]);
+    drain(chunks[(step + 5) % 7]);
+  }
+  EXPECT_GT(session.outbox().size(), size_t{4096});  // a real backlog
+  while (session.has_output()) drain(37);
+  EXPECT_TRUE(session.outbox().empty());
+  EXPECT_EQ(drained, expected);
 }
 
 }  // namespace
